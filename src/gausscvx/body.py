@@ -307,6 +307,8 @@ def catalog(name: str, n: int, **params) -> SupportBody:
 def direction_grid(n: int, size: int | None = None) -> np.ndarray:
     """Unit directions covering S^{n-1}: the two points (n=1), uniform
     midpoint angles (n=2), Fibonacci sphere (n=3), seeded Monte Carlo (n=4)."""
+    if not 1 <= n <= 4:
+        raise BodyError("direction grids implemented for 1 <= n <= 4")
     size = GRID_SIZES[n] if size is None else int(size)
     if n == 1:
         return np.array([[1.0], [-1.0]])
@@ -323,7 +325,6 @@ def direction_grid(n: int, size: int | None = None) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(_MC_GRID_SEED))
         x = rng.standard_normal((size, 4))
         return x / np.linalg.norm(x, axis=1, keepdims=True)
-    raise BodyError("direction grids implemented for n <= 4")
 
 
 def sphere_area(n: int) -> float:

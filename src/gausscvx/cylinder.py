@@ -361,8 +361,10 @@ def _weak_transform(n: int, C0: float) -> ExpIntegralTransform:
     def w(s):
         ss = np.asarray(s, dtype=float)
         q = sf.phi_inv(ss)
-        ball_term = sf.j_lower(n + 1, sf.j_inverse(n - 1, c * ss)) / c
-        return q**2 / (e2n2 * ss) + 1.0 / (n * ss - ball_term) - 1.0 / ss
+        # n s - J_{n+1}(R) / c with J_{n-1}(R) = c s is g_n(R) / c by the
+        # recurrence J_{n+1} = n J_{n-1} - g_n, free of cancellation as s -> 1
+        R = sf.j_inverse_regularized(n - 1, ss)
+        return q**2 / (e2n2 * ss) + c / sf.g(n, R) - 1.0 / ss
 
     return ExpIntegralTransform(w, n, C0=C0)
 

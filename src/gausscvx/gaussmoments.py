@@ -14,6 +14,12 @@ Monte Carlo directions (n=4).  Deterministic rules report the nested
 half-grid difference as their error; the MC rule reports 3 standard
 errors.  Sums use numpy's pairwise reduction, so results do not depend
 on evaluation order.
+
+A ``PolarSample`` holds rho on a rule and on its nested half rule, so a
+body's radial function is evaluated once per rule however many moments,
+bundles and torsion bounds integrate against it; ray-polynomial
+coefficients are functions of (directions, rho).  ``measure`` and
+``ray_integral`` are one-shot forms over a fresh sample.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from . import body as bd
 from . import specfun as sf
@@ -77,20 +82,21 @@ class Estimate:
 
 @dataclass(frozen=True)
 class RayPolynomial:
-    """f with f(t theta) = sum_j coeffs(theta)[:, j] t^j for t >= 0."""
+    """f with f(t theta) = sum_j coeffs(theta, rho)[:, j] t^j for t >= 0,
+    where rho is the body's radial function at the directions theta."""
 
     degree: int
     coeffs: "callable"
 
     @staticmethod
     def constant(c: float):
-        return RayPolynomial(0, lambda dirs: np.full((len(dirs), 1), float(c)))
+        return RayPolynomial(0, lambda dirs, rho: np.full((len(dirs), 1), float(c)))
 
     @staticmethod
     def abs_x_power(j: int):
         """|x|^j."""
 
-        def cf(dirs):
+        def cf(dirs, rho):
             out = np.zeros((len(dirs), j + 1))
             out[:, j] = 1.0
             return out
@@ -102,7 +108,7 @@ class RayPolynomial:
         """<x, theta>^j."""
         th = np.asarray(theta, dtype=float)
 
-        def cf(dirs):
+        def cf(dirs, rho):
             out = np.zeros((len(dirs), j + 1))
             out[:, j] = (dirs @ th) ** j
             return out
@@ -110,11 +116,10 @@ class RayPolynomial:
         return RayPolynomial(j, cf)
 
     @staticmethod
-    def gauge_power(K: bd.SupportBody, j: int):
-        """||x||_K^j through the radial oracle."""
+    def gauge_power(j: int):
+        """||x||_K^j, read from the sampled radial function of K."""
 
-        def cf(dirs):
-            rho = np.asarray(bd.radial(K, dirs), dtype=float)
+        def cf(dirs, rho):
             out = np.zeros((len(dirs), j + 1))
             with np.errstate(divide="ignore"):
                 out[:, j] = np.where(np.isinf(rho), 0.0, 1.0 / rho**j)
@@ -126,9 +131,9 @@ class RayPolynomial:
         d = max(self.degree, other.degree)
         a, b = self.coeffs, other.coeffs
 
-        def cf(dirs):
+        def cf(dirs, rho):
             out = np.zeros((len(dirs), d + 1))
-            ca, cb = a(dirs), b(dirs)
+            ca, cb = a(dirs, rho), b(dirs, rho)
             out[:, : ca.shape[1]] += ca
             out[:, : cb.shape[1]] += cb
             return out
@@ -139,12 +144,12 @@ class RayPolynomial:
         if not isinstance(other, RayPolynomial):
             c = float(other)
             a = self.coeffs
-            return RayPolynomial(self.degree, lambda dirs: c * a(dirs))
+            return RayPolynomial(self.degree, lambda dirs, rho: c * a(dirs, rho))
         d = self.degree + other.degree
         a, b = self.coeffs, other.coeffs
 
-        def cf(dirs):
-            ca, cb = a(dirs), b(dirs)
+        def cf(dirs, rho):
+            ca, cb = a(dirs, rho), b(dirs, rho)
             out = np.zeros((len(dirs), d + 1))
             for i in range(ca.shape[1]):
                 out[:, i : i + cb.shape[1]] += ca[:, i : i + 1] * cb
@@ -191,37 +196,57 @@ def _polar_sum(rule: SphereRule, per_dir: np.ndarray) -> float:
     return float(norm * rule.weight * np.sum(per_dir))
 
 
-def _ray_values(K: bd.SupportBody, f: RayPolynomial, rule: SphereRule,
-                rho: np.ndarray | None = None) -> np.ndarray:
-    n = K.n
-    if rho is None:
-        rho = np.asarray(bd.radial(K, rule.points), dtype=float)
-    A = np.asarray(f.coeffs(rule.points), dtype=float)
-    out = np.zeros(len(rho))
-    for j in range(A.shape[1]):
-        col = A[:, j]
-        if np.any(col != 0.0):
-            out += col * sf.j_lower(n + j - 1, rho)
-    return out
+@dataclass(frozen=True)
+class PolarSample:
+    """rho_K on a rule's points, and the sample on its nested half rule.
+
+    ``half`` is None for the n=4 Monte Carlo rule, whose error is
+    3 standard errors instead of a half-rule difference.
+    """
+
+    K: bd.SupportBody
+    rule: SphereRule
+    rho: np.ndarray
+    half: "PolarSample | None"
+
+    def _ray_values(self, f: RayPolynomial) -> np.ndarray:
+        A = np.asarray(f.coeffs(self.rule.points, self.rho), dtype=float)
+        out = np.zeros(len(self.rho))
+        for j in range(A.shape[1]):
+            col = A[:, j]
+            if np.any(col != 0.0):
+                out += col * sf.j_lower(self.K.n + j - 1, self.rho)
+        return out
+
+    def integral(self, f: RayPolynomial) -> Estimate:
+        """Unnormalized int_K f dgamma by the polar rule; err from the
+        nested half-resolution rule (3 sigma for the n=4 Monte Carlo rule)."""
+        per_dir = self._ray_values(f)
+        val = _polar_sum(self.rule, per_dir)
+        if self.half is None:
+            norm = (2.0 * np.pi) ** (-self.K.n / 2.0) * bd.sphere_area(self.K.n)
+            err = 3.0 * norm * float(np.std(per_dir)) / np.sqrt(self.rule.size)
+        else:
+            err = abs(val - _polar_sum(self.half.rule, self.half._ray_values(f)))
+        err += 1e-13 * max(1.0, abs(val))
+        return Estimate(val, err, "quadrature")
+
+
+def polar_sample(K: bd.SupportBody, rule: SphereRule | None = None) -> PolarSample:
+    """Evaluate rho_K once on ``rule`` (default per dimension) and once on
+    its nested half rule."""
+    rule = rule or sphere_rule(K.n)
+
+    def sample(r: SphereRule, half: PolarSample | None = None) -> PolarSample:
+        return PolarSample(K, r, np.asarray(bd.radial(K, r.points), dtype=float), half)
+
+    return sample(rule, None if K.n == 4 else sample(_half_rule(rule)))
 
 
 def ray_integral(K: bd.SupportBody, f: RayPolynomial,
                  rule: SphereRule | None = None) -> Estimate:
-    """Unnormalized int_K f dgamma by the polar rule; err from the nested
-    half-resolution rule (3 sigma for the n=4 Monte Carlo rule)."""
-    rule = rule or sphere_rule(K.n)
-    rho = np.asarray(bd.radial(K, rule.points), dtype=float)
-    per_dir = _ray_values(K, f, rule, rho)
-    val = _polar_sum(rule, per_dir)
-    if K.n == 4:
-        norm = (2.0 * np.pi) ** (-2.0) * bd.sphere_area(4)
-        err = 3.0 * norm * float(np.std(per_dir)) / np.sqrt(rule.size)
-    else:
-        half = _half_rule(rule)
-        val_half = _polar_sum(half, _ray_values(K, f, half))
-        err = abs(val - val_half)
-    err += 1e-13 * max(1.0, abs(val))
-    return Estimate(val, err, "quadrature")
+    """Unnormalized int_K f dgamma over a fresh sample of K on ``rule``."""
+    return polar_sample(K, rule).integral(f)
 
 
 def measure(K: bd.SupportBody, rule: SphereRule | None = None,
@@ -244,58 +269,25 @@ class MomentsBundle:
     gK2: Estimate          # E ||X||_K^2
     gK1: Estimate          # E ||X||_K
     var_x2: Estimate       # Var |X|^2
-    _rule: SphereRule
+    sample: PolarSample
 
     def dir1(self, theta) -> Estimate:
-        raw = ray_integral(self.K, RayPolynomial.dot_power(theta, 1), self._rule)
-        return raw.over(self.a)
+        return self.sample.integral(RayPolynomial.dot_power(theta, 1)).over(self.a)
 
     def dir2(self, theta) -> Estimate:
-        raw = ray_integral(self.K, RayPolynomial.dot_power(theta, 2), self._rule)
-        return raw.over(self.a)
+        return self.sample.integral(RayPolynomial.dot_power(theta, 2)).over(self.a)
 
 
 def moments_bundle(K: bd.SupportBody, rule: SphereRule | None = None) -> MomentsBundle:
-    rule = rule or sphere_rule(K.n)
-    a = measure(K, rule)
-    m2 = ray_integral(K, RayPolynomial.abs_x_power(2), rule).over(a)
-    m4 = ray_integral(K, RayPolynomial.abs_x_power(4), rule).over(a)
-    gK2 = ray_integral(K, RayPolynomial.gauge_power(K, 2), rule).over(a)
-    gK1 = ray_integral(K, RayPolynomial.gauge_power(K, 1), rule).over(a)
+    s = polar_sample(K, rule)
+    a = s.integral(RayPolynomial.constant(1.0))
+    m2 = s.integral(RayPolynomial.abs_x_power(2)).over(a)
+    m4 = s.integral(RayPolynomial.abs_x_power(4)).over(a)
+    gK2 = s.integral(RayPolynomial.gauge_power(2)).over(a)
+    gK1 = s.integral(RayPolynomial.gauge_power(1)).over(a)
     var_x2 = m4 - m2.times(m2)
     return MomentsBundle(K=K, a=a, m2=m2, m4=m4, gK2=gK2, gK1=gK1,
-                         var_x2=var_x2, _rule=rule)
-
-
-# ---------------------------------------------------------------------------
-# rotation-invariant log-concave generalization
-
-
-def measure_general(K: bd.SupportBody, p: float,
-                    rule: SphereRule | None = None) -> Estimate:
-    """mu_p(K) for the normalized density proportional to e^{-|x|^p / p}.
-
-    The radial factor int_0^rho t^{n-1} e^{-t^p/p} dt reduces to the
-    regularized lower incomplete gamma at (n/p; rho^p/p); p = 2 is gamma.
-    """
-    if p < 1:
-        raise ValueError("p >= 1 required")
-    rule = rule or sphere_rule(K.n)
-    n = K.n
-
-    def radial_factor(rho):
-        with np.errstate(over="ignore"):
-            z = np.where(np.isinf(rho), np.inf, rho**p / p)
-        return sp.gammainc(n / p, z)
-
-    def run(r: SphereRule) -> float:
-        rho = np.asarray(bd.radial(K, r.points), dtype=float)
-        # normalized so mu(R^n) = 1: angular average of the radial factor
-        return float(np.sum(radial_factor(rho)) / r.size)
-
-    val = run(rule)
-    err = abs(val - run(_half_rule(rule))) + 1e-13
-    return Estimate(val, err, "quadrature")
+                         var_x2=var_x2, sample=s)
 
 
 # ---------------------------------------------------------------------------

@@ -113,14 +113,14 @@ def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
     r = bd.inradius(K)
     if r is None:
         raise ValueError("in-radius unavailable for this body")
-    one_minus_g2 = gm.RayPolynomial.constant(1.0) - gm.RayPolynomial.gauge_power(K, 2)
-    cross = gm.ray_integral(K, F * one_minus_g2, b._rule).over(b.a)
+    one_minus_g2 = gm.RayPolynomial.constant(1.0) - gm.RayPolynomial.gauge_power(2)
+    cross = b.sample.integral(F * one_minus_g2).over(b.a)
     last_touch = r * r * cross.value**2 / (4.0 * b.gK2.value)
     lt_err = (2.0 * r * r * abs(cross.value) * cross.err / (4.0 * b.gK2.value)
               + last_touch * b.gK2.err / b.gK2.value)
     floor = float(sf.phi_inv(b.a.value)) ** 2 / (4.0 * np.e**2 * K.n**2)
-    is_const1 = F.degree == 0 and np.allclose(
-        F.coeffs(np.eye(K.n)[:1]), [[1.0]], rtol=0, atol=0)
+    s = b.sample
+    is_const1 = F.degree == 0 and np.all(F.coeffs(s.rule.points, s.rho) == 1.0)
     value = max(last_touch, floor) if is_const1 else last_touch
     return TorsionResult(
         value, lt_err, "gauge_lower", F_label,
@@ -141,27 +141,21 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
     P = np.asarray(gauge_poly, dtype=float)
     if abs(np.polyval(P[::-1], 1.0)) > 1e-10:
         raise ValueError("test function must vanish on the boundary: P(1) = 0")
-    rule = rule or gm.sphere_rule(K.n)
-    a = gm.measure(K, rule)
-
-    v_ray = _gauge_polynomial_ray(K, P)
-    fv = gm.ray_integral(K, F * v_ray, rule).over(a)
+    s = gm.polar_sample(K, rule)
+    a = s.integral(gm.RayPolynomial.constant(1.0))
+    fv = s.integral(F * _gauge_polynomial_ray(P)).over(a)
 
     dP = np.array([j * P[j] for j in range(1, len(P))])
     b = np.convolve(dP, dP) if len(dP) else np.zeros(1)
-    slopes: dict[int, tuple] = {}
 
-    def cf(dirs):
-        key = id(dirs)
-        if key not in slopes:
-            slopes[key] = _gauge_slope_sq(K, dirs, fd_step)
-        q, grad_tan2 = slopes[key]
+    def cf(dirs, rho):
+        q, grad_tan2 = _gauge_slope_sq(K, dirs, rho, fd_step)
         out = np.zeros((len(dirs), len(b)))
         for m in range(len(b)):
             out[:, m] = b[m] * q**m * (q**2 + grad_tan2)
         return out
 
-    grad2 = gm.ray_integral(K, gm.RayPolynomial(len(b) - 1, cf), rule).over(a)
+    grad2 = s.integral(gm.RayPolynomial(len(b) - 1, cf)).over(a)
     if grad2.value <= 0:
         raise TorsionFailure("degenerate gradient energy")
     quotient = fv.times(fv).over(grad2)
@@ -170,11 +164,15 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
                        "quadrature")
 
 
-def _gauge_polynomial_ray(K: bd.SupportBody, P: np.ndarray) -> gm.RayPolynomial:
-    def cf(dirs):
-        rho = np.asarray(bd.radial(K, dirs), dtype=float)
-        with np.errstate(divide="ignore"):
-            q = np.where(np.isinf(rho), 0.0, 1.0 / rho)
+def _inverse_radial(rho: np.ndarray) -> np.ndarray:
+    """q = 1/rho, 0 along rays that never leave the body."""
+    with np.errstate(divide="ignore"):
+        return np.where(np.isinf(rho), 0.0, 1.0 / rho)
+
+
+def _gauge_polynomial_ray(P: np.ndarray) -> gm.RayPolynomial:
+    def cf(dirs, rho):
+        q = _inverse_radial(rho)
         out = np.zeros((len(dirs), len(P)))
         for j, c in enumerate(P):
             if c != 0.0:
@@ -184,32 +182,22 @@ def _gauge_polynomial_ray(K: bd.SupportBody, P: np.ndarray) -> gm.RayPolynomial:
     return gm.RayPolynomial(len(P) - 1, cf)
 
 
-def _gauge_slope_sq(K: bd.SupportBody, pts: np.ndarray, h: float):
-    """(q, |grad_S q|^2) at unit directions pts, q = 1/rho."""
-    rho = np.asarray(bd.radial(K, pts), dtype=float)
-    with np.errstate(divide="ignore"):
-        q = np.where(np.isinf(rho), 0.0, 1.0 / rho)
+def _gauge_slope_sq(K: bd.SupportBody, pts: np.ndarray, rho: np.ndarray, h: float):
+    """(q, |grad_S q|^2) at unit directions pts with radii rho, q = 1/rho."""
+    q = _inverse_radial(rho)
     if K.n == 1:
         return q, np.zeros_like(q)
+    tangents = np.array([bd._tangent_basis(p) for p in pts])
     grad2 = np.zeros(len(pts))
     for axis in range(K.n - 1):
-        tangents = np.array([_tangent(p, axis) for p in pts])
-        plus = pts + h * tangents
-        minus = pts - h * tangents
+        plus = pts + h * tangents[:, axis]
+        minus = pts - h * tangents[:, axis]
         plus /= np.linalg.norm(plus, axis=1, keepdims=True)
         minus /= np.linalg.norm(minus, axis=1, keepdims=True)
-        rp = np.asarray(bd.radial(K, plus), dtype=float)
-        rm = np.asarray(bd.radial(K, minus), dtype=float)
-        with np.errstate(divide="ignore"):
-            qp = np.where(np.isinf(rp), 0.0, 1.0 / rp)
-            qm = np.where(np.isinf(rm), 0.0, 1.0 / rm)
+        qp = _inverse_radial(np.asarray(bd.radial(K, plus), dtype=float))
+        qm = _inverse_radial(np.asarray(bd.radial(K, minus), dtype=float))
         grad2 += ((qp - qm) / (2.0 * h)) ** 2
     return q, grad2
-
-
-def _tangent(u: np.ndarray, which: int) -> np.ndarray:
-    basis = bd._tangent_basis(u)
-    return basis[which] if which < len(basis) else basis[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ class MultiPoly:
         for m, c in self.terms.items():
             by_deg.setdefault(sum(m), []).append((m, c))
 
-        def cf(dirs):
+        def cf(dirs, rho):
             out = np.zeros((len(dirs), deg + 1))
             for d, terms in by_deg.items():
                 acc = np.zeros(len(dirs))
@@ -270,10 +270,6 @@ class ConcavityReport:
     second_diffs: np.ndarray
     budget: np.ndarray
     verdict: str
-
-    @property
-    def min_second_diff(self) -> float:
-        return float(np.min(self.second_diffs))
 
     @property
     def max_second_diff(self) -> float:
@@ -408,14 +404,14 @@ def gauss_main_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None,
     attained at the unique stationary shift alpha* = m + (1/c - V)/(1-m).
     A sweep over 100 other shifts guards the closed form.
     """
-    rule = rule or gm.sphere_rule(K.n)
     r = bd.inradius(K)
     if r is None or not np.isfinite(r):
         raise VerificationError("in-radius unavailable for this body")
-    a = gm.measure(K, rule)
-    ex2 = gm.ray_integral(K, gm.RayPolynomial.abs_x_power(2), rule).over(a)
-    g2 = gm.ray_integral(K, gm.RayPolynomial.gauge_power(K, 2), rule).over(a)
-    g4 = gm.ray_integral(K, gm.RayPolynomial.gauge_power(K, 4), rule).over(a)
+    s = gm.polar_sample(K, rule)
+    a = s.integral(gm.RayPolynomial.constant(1.0))
+    ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
+    g2 = s.integral(gm.RayPolynomial.gauge_power(2)).over(a)
+    g4 = s.integral(gm.RayPolynomial.gauge_power(4)).over(a)
     m = g2.value
     V = g4.value - m * m
     if not 0.0 < m < 1.0:
@@ -463,9 +459,9 @@ def corT1_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None) -> dict:
     else:
         t_res = tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0),
                                         F_label="const1")
-    rule = rule or gm.sphere_rule(K.n)
-    a = gm.measure(K, rule)
-    ex2 = gm.ray_integral(K, gm.RayPolynomial.abs_x_power(2), rule).over(a)
+    s = gm.polar_sample(K, rule)
+    a = s.integral(gm.RayPolynomial.constant(1.0))
+    ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
     value = 2.0 * t_res.value + 1.0 / (K.n - ex2.value)
     return {"value": float(value), "torsion": t_res, "ex2": float(ex2.value),
             "torsion_kind": t_res.kind}
@@ -485,10 +481,10 @@ def minkowski_first_check(K: bd.SupportBody, L: bd.SupportBody,
     """
     if K.n != L.n:
         raise VerificationError("dimension mismatch")
-    rule = rule or gm.sphere_rule(K.n)
-    aK = gm.measure(K, rule)
+    sK = gm.polar_sample(K, rule)
+    aK = sK.integral(gm.RayPolynomial.constant(1.0))
     aL = gm.measure(L, rule)
-    ex2 = gm.ray_integral(K, gm.RayPolynomial.abs_x_power(2), rule).over(aK)
+    ex2 = sK.integral(gm.RayPolynomial.abs_x_power(2)).over(aK)
     lhs = gm.gamma_one(K, L, rule=rule)
     nm = K.n - ex2.value
     p = 1.0 / nm
@@ -524,11 +520,11 @@ def brascamp_lieb_check(K: bd.SupportBody, f: MultiPoly,
             raise VerificationError("even-half mode requires an even f")
         if not K.symmetric:
             raise VerificationError("even-half mode requires a symmetric K")
-    rule = rule or gm.sphere_rule(K.n)
-    a = gm.measure(K, rule)
-    ef = gm.ray_integral(K, f.to_ray(), rule).over(a)
-    ef2 = gm.ray_integral(K, (f * f).to_ray(), rule).over(a)
-    eg2 = gm.ray_integral(K, f.grad_sq().to_ray(), rule).over(a)
+    s = gm.polar_sample(K, rule)
+    a = s.integral(gm.RayPolynomial.constant(1.0))
+    ef = s.integral(f.to_ray()).over(a)
+    ef2 = s.integral((f * f).to_ray()).over(a)
+    eg2 = s.integral(f.grad_sq().to_ray()).over(a)
     var = ef2.value - ef.value ** 2
     const = 0.5 if mode == "gaussian_even_half" else 1.0
     bound = const * eg2.value
@@ -549,12 +545,12 @@ def propgauss_check(K: bd.SupportBody, u: MultiPoly,
         raise VerificationError("u must be even")
     if u.n != K.n:
         raise VerificationError("dimension mismatch")
-    rule = rule or gm.sphere_rule(K.n)
-    a = gm.measure(K, rule)
-    hess = gm.ray_integral(K, u.hessian_frob_sq().to_ray(), rule).over(a)
-    grad = gm.ray_integral(K, u.grad_sq().to_ray(), rule).over(a)
-    ex2 = gm.ray_integral(K, gm.RayPolynomial.abs_x_power(2), rule).over(a)
-    lu = gm.ray_integral(K, (u.laplacian() - u.euler()).to_ray(), rule).over(a)
+    s = gm.polar_sample(K, rule)
+    a = s.integral(gm.RayPolynomial.constant(1.0))
+    hess = s.integral(u.hessian_frob_sq().to_ray()).over(a)
+    grad = s.integral(u.grad_sq().to_ray()).over(a)
+    ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
+    lu = s.integral((u.laplacian() - u.euler()).to_ray()).over(a)
     rhs = grad.value + lu.value ** 2 / (K.n - ex2.value)
     slack = hess.value - rhs
     err = hess.err + grad.err + 2.0 * abs(lu.value) * lu.err + ex2.err
@@ -568,7 +564,10 @@ def propgauss_check(K: bd.SupportBody, u: MultiPoly,
 
 
 def _alpha_from(n: int, m2: float, m4: float) -> float:
-    return (n * (n - 1.0) - (2.0 * n + 1.0) * m2 + m4) / (n - m2) ** 2
+    denom = (n - m2) ** 2
+    if denom == 0.0:
+        raise gm.QuadratureFailure("second-moment margin n - E|X|^2 vanished")
+    return (n * (n - 1.0) - (2.0 * n + 1.0) * m2 + m4) / denom
 
 
 def _beta_from(n: int, m2: float, m4: float) -> float:

@@ -69,7 +69,7 @@ def test_c05_last_touch_lower_bound_equality_on_cylinders():
         for R in (0.5, 1.0, 2.0):
             K = bd.cylinder(k, R, n)
             F_ray = (gm.RayPolynomial.constant(float(k))
-                     + gm.RayPolynomial.gauge_power(K, 2) * (-R * R))
+                     + gm.RayPolynomial.gauge_power(2) * (-R * R))
             lower = tor.torsion_gauge_lower(
                 K, F_ray, F_label="matched",
                 bundle=gm.moments_bundle(K, rule)).value

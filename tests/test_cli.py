@@ -131,6 +131,14 @@ class TestVerifyCommand:
                             "--out-dir", str(tmp_path)], capsys)
         assert code == 2
 
+    def test_vanishing_moment_margin_is_numerical_failure(self, capsys, tmp_path):
+        # n - E|X|^2 rounds to 0 on a ball this large: not a violation
+        code, _, err = run(["verify", "--check", "moments", "--n", "2",
+                            "--body", "ball:R=10", "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code == 3
+        assert "numerical failure" in err
+
     def test_violation_exit_code_routing(self, capsys, tmp_path, monkeypatch):
         # no true inequality in the suite actually fails, so exercise the
         # exit-1 path by stubbing a check that reports a negative margin
@@ -161,6 +169,12 @@ class TestUsageErrors:
     def test_bad_body_string(self, capsys, tmp_path):
         code, _, err = run(["measure", "--body", "pyramid:R=1",
                             "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "error" in err
+
+    def test_unsupported_dimension(self, capsys, tmp_path):
+        code, _, err = run(["measure", "--n", "5", "--out-dir", str(tmp_path)],
+                           capsys)
         assert code == 2
         assert "error" in err
 

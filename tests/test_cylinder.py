@@ -75,6 +75,38 @@ NEAR_ONE_PROFILES = {
 }
 
 
+# the weak_F inner integrand w(s) at the double s = 1.0 - 10.0**-j, keyed by
+# (n, j).  Frozen from mpmath at 50 digits, rounded to 20, from the defining
+# form phi_inv(s)^2 / (2 e^2 n^2 s) + 1 / (n s - J_{n+1}(R) / c) - 1/s, where
+# R^2/2 solves Q(n/2, x) = 1 - s, J_p(R) = 2^((p-1)/2) lowergamma((p+1)/2, R^2/2)
+# and c = Gamma(n/2) 2^((n-2)/2); the c / g_n(R) form agrees to 1e-38.
+WEAK_NEAR_ONE = {
+    (2,  3): 71.564764968668768961,
+    (2,  4): 542.12409426444589188,
+    (2,  5): 4342.2748853115542251,
+    (2,  6): 36190.61161369061856,
+    (2,  7): 310209.82436990922136,
+    (2,  8): 2714340.0545693651911,
+    (2,  9): 24127471.497712904381,
+    (2, 10): 217147223.47256394542,
+    (2, 11): 1974065669.7304498006,
+    (2, 12): 18095989239.203561816,
+    (2, 13): 166986150546.90383578,
+    (2, 14): 1552253931389.3122036,
+    (3,  3): 64.138028979920353282,
+    (3,  4): 494.38442140137984667,
+    (3,  5): 4003.7525367387006738,
+    (3,  6): 33641.519136661513177,
+    (3,  7): 290207.94913733302974,
+    (3,  8): 2552552.3088547010641,
+    (3,  9): 22787790.677998325946,
+    (3, 10): 205844856.81317466428,
+    (3, 11): 1877246747.0275889619,
+    (3, 12): 17256002188.783614593,
+    (3, 13): 159622364739.99313233,
+    (3, 14): 1487013160103.4149891,
+}
+
 class TestRadiusMaps:
     def test_round_trip(self):
         a = np.linspace(0.01, 0.99, 50)
@@ -207,6 +239,11 @@ class TestTransforms:
         for a in (0.2, 0.5, 0.8):
             fd = oracles.fd_slope(tr, a, h=1e-5)
             assert tr.slope(a) == pytest.approx(fd, rel=2e-6)
+
+    def test_weak_integrand_accurate_near_one(self):
+        for (n, j), w in WEAK_NEAR_ONE.items():
+            s = 1.0 - 10.0 ** -j
+            assert cyl.weak_transform(n).w(s) == pytest.approx(w, rel=1e-13), (n, j)
 
     def test_conjecture_n1_affine_in_quantile(self):
         # with one factor the construction reduces to the half-line quantile

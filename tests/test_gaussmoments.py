@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gausscvx import body as bd
 from gausscvx import gaussmoments as gm
 from gausscvx import specfun as sf
+from gausscvx import torsion as tor
+from gausscvx import verify as vf
 
 import oracles
 
@@ -124,7 +126,7 @@ class TestRayIntegral:
     def test_gauge_power_on_boundary_normalization(self):
         # int_K ||x||_K^0 = gamma(K)
         K = bd.ball(0.8, 2)
-        zeroth = gm.ray_integral(K, gm.RayPolynomial.gauge_power(K, 0))
+        zeroth = gm.ray_integral(K, gm.RayPolynomial.gauge_power(0))
         assert zeroth.value == pytest.approx(gm.measure(K).value, rel=1e-12)
 
     def test_dot_power_gaussian_identity(self):
@@ -132,6 +134,46 @@ class TestRayIntegral:
         big = bd.ball(40.0, 2)
         est = gm.ray_integral(big, gm.RayPolynomial.dot_power([0.6, 0.8], 2))
         assert est.value == pytest.approx(1.0, rel=1e-9)
+
+
+# bd.radial calls for a box on a 256-point rule: one per rule, the full and
+# the half rule for n=2 and the full rule only for the n=4 Monte Carlo rule;
+# the suite adds three shifted bodies, and the Rayleigh quotient adds two
+# perturbed-direction calls per tangent axis and rule
+RADIAL_CALLS = {
+    2: {"moments_bundle": 2, "moment_inequality_suite": 8,
+        "gauss_main_bound": 2, "rayleigh": 6},
+    4: {"moments_bundle": 1, "moment_inequality_suite": 4,
+        "gauss_main_bound": 1, "rayleigh": 7},
+}
+
+
+class TestPolarSample:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_radial_evaluated_once_per_rule(self, n, monkeypatch):
+        calls = []
+        radial = bd.radial
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].label)
+            return radial(*args, **kwargs)
+
+        monkeypatch.setattr(bd, "radial", counting)
+        K = bd.box([0.8 + 0.1 * i for i in range(n)], n)
+        rule = gm.sphere_rule(n, 256)
+        runs = {
+            "moments_bundle": lambda: gm.moments_bundle(K, rule),
+            "moment_inequality_suite": lambda: vf.moment_inequality_suite(K, rule),
+            "gauss_main_bound": lambda: vf.gauss_main_bound(K, rule),
+            "rayleigh": lambda: tor.rayleigh(K, gm.RayPolynomial.constant(1.0),
+                                             [1.0, 0.0, -1.0], rule),
+        }
+        counts = {}
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            counts[name] = len(calls)
+        assert counts == RADIAL_CALLS[n]
 
 
 class TestGammaOne:

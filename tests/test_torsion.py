@@ -91,7 +91,7 @@ class TestGaugeLower:
         # F = k - |x_(1..k)|^2 makes the in-radius test function exact
         K = bd.cylinder(k, R, n)
         F_ray = (gm.RayPolynomial.constant(float(k))
-                 + gm.RayPolynomial.gauge_power(K, 2) * (-R * R))
+                 + gm.RayPolynomial.gauge_power(2) * (-R * R))
         lower = tor.torsion_gauge_lower(K, F_ray, F_label="matched")
         exact = tor.torsion_radial(k, R, lambda r: k - r * r)
         assert lower.value == pytest.approx(exact.value, rel=1e-6)
@@ -111,7 +111,7 @@ class TestGaugeLower:
         assert res1.components["measure_floor"] <= res1.value + 1e-15
         resF = tor.torsion_gauge_lower(
             K, gm.RayPolynomial.constant(2.0)
-            - gm.RayPolynomial.gauge_power(K, 2) * (0.25**2),
+            - gm.RayPolynomial.gauge_power(2) * (0.25**2),
             F_label="quad")
         assert resF.value == pytest.approx(resF.components["last_touch"],
                                            rel=1e-15)
@@ -123,7 +123,7 @@ class TestRayleigh:
         # torsion for F = k - r^2 up to the normalization built into both
         K = bd.ball(1.0, 2)
         F_ray = (gm.RayPolynomial.constant(2.0)
-                 + gm.RayPolynomial.gauge_power(K, 2) * (-1.0))
+                 + gm.RayPolynomial.gauge_power(2) * (-1.0))
         q = tor.rayleigh(K, F_ray, [1.0, 0.0, -1.0])
         exact = tor.torsion_radial(2, 1.0, lambda r: 2 - r * r)
         assert q.value == pytest.approx(exact.value, rel=1e-4)

@@ -64,7 +64,7 @@ class TestMultiPoly:
              + vf.MultiPoly.coord(2, 0) * vf.MultiPoly.coord(2, 1) + 2.0)
         K = bd.ball(1.0, 2)
         dirs = np.array([[0.6, 0.8], [1.0, 0.0]])
-        A = f.to_ray().coeffs(dirs)
+        A = f.to_ray().coeffs(dirs, bd.radial(K, dirs))
         for i, th in enumerate(dirs):
             for t in (0.5, 1.7):
                 direct = f(t * th)
