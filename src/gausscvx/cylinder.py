@@ -20,10 +20,16 @@ The dimensionless concavity power of the cylinder along its own family is
 ``partition`` tabulates, on a grid of measures, which k minimizes phi_k
 and which minimizes s_k; the two argmin families do *not* coincide, which
 is exactly why the transform glued from perimeter minimizers
-(``verify.bad_func_transform``) fails while the one glued from phi
-minimizers (``conjecture_F``) is the conjectured extremal transform:
+(``bad_transform``) fails while the one glued from phi minimizers
+(``conjecture_F``) is the conjectured extremal transform:
 
-    F(a) = int_0^a exp( int_{C0}^t  min_k phi_k(s) ds ) dt.
+    F(a) = int_0^a exp( int_{1/2}^t  min_k phi_k(s) ds ) dt.
+
+Since phi_k = (log 1/s_k)' and R_k' = 1/s_k, F is beta_k R_k(a) + alpha_k
+on each piece where k is the argmin, with beta from F' continuous and
+F'(1/2) = 1, and alpha from F continuous and F(0) = 0.  ``PiecewiseRadius``
+holds that closed form; ``bad_transform`` is the same construction on the
+s_k-argmin pieces with every beta = 1.
 
 ``weak_F`` is the unconditionally proven variant whose inner integrand
 replaces min_k phi_k(s) by the torsion/moment lower bound
@@ -31,9 +37,10 @@ replaces min_k phi_k(s) by the torsion/moment lower bound
     phi_inv(s)^2 / (2 e^2 n^2 s)
       + 1 / (n s - J_{n+1}(J_{n-1}^{-1}(c s)) / c)  - 1/s,
 
-with c = J_{n-1}(inf).  Both transforms share an inner-integral cache on
-a refinable knot grid and integrate the outer exponential after the
-substitution t = u^n, which absorbs the t^{-(n-1)/n} endpoint blow-up.
+with c = J_{n-1}(inf).  ``ExpIntegralTransform`` integrates it on
+piecewise-Chebyshev panels: W cumulatively in log s, s and -log(1 - s),
+then F in u = t^{1/n}, which absorbs the t^{-(n-1)/n} blow-up at 0, and
+in -log(1 - t).
 """
 
 from __future__ import annotations
@@ -42,13 +49,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial import chebyshev as cheb
 
 from . import specfun as sf
-
-_INNER_EPS = 1e-11
-_OUTER_EPS = 1e-10
-_LO_KNOT = 1e-3
 
 
 def radius_of_measure(k: int, a) -> np.ndarray | float:
@@ -218,143 +221,236 @@ def partition(n: int, grid=None) -> PartitionTable:
 
 
 # ---------------------------------------------------------------------------
-# integrated-exponential transforms
+# transforms
 
 
 class NumericalFailure(RuntimeError):
-    """Quadrature could not resolve the requested value; carries the best bound."""
+    """A transform could not be resolved to its tolerance."""
 
-    def __init__(self, msg: str, achieved: float | None = None):
-        super().__init__(msg)
-        self.achieved = achieved
+
+@dataclass(frozen=True)
+class PiecewiseRadius:
+    """F(a) = beta_k R_k(a) + alpha_k, with k = ks[i] on the i-th piece.
+
+    ``breaks`` cut (0,1) into the pieces; a break belongs to the piece on
+    its right.  Since R_k' = 1/s_k, the slope is beta_k / s_k(a).
+    """
+
+    breaks: tuple[float, ...]
+    ks: tuple[int, ...]
+    betas: tuple[float, ...]
+    alphas: tuple[float, ...]
+
+    def _on_pieces(self, a, piece):
+        aa = np.asarray(a, dtype=float)
+        flat = np.atleast_1d(aa)
+        idx = np.searchsorted(self.breaks, flat, side="right")
+        out = np.empty(flat.shape)
+        for i, k in enumerate(self.ks):
+            on = idx == i
+            out[on] = piece(i, k, flat[on])
+        return float(out[0]) if aa.ndim == 0 else out
+
+    def value(self, a):
+        def piece(i, k, x):
+            return self.betas[i] * radius_of_measure(k, x) + self.alphas[i]
+
+        return self._on_pieces(a, piece)
+
+    __call__ = value
+
+    def slope(self, a):
+        return self._on_pieces(a, lambda i, k, x: self.betas[i] / perimeter_s(k, x))
+
+
+def _glued_radius(crossings, k_first: int, match_slope: bool) -> PiecewiseRadius:
+    """beta_k R_k + alpha_k glued over the pieces that ``crossings`` cut.
+
+    The alphas keep F continuous, with alpha = 0 on the first piece.  With
+    ``match_slope`` the betas keep F' continuous with F'(1/2) = 1; without
+    it every beta is 1.
+    """
+    breaks = tuple(float(c[0]) for c in crossings)
+    ks = (int(k_first),) + tuple(int(c[2]) for c in crossings)
+    betas = [1.0]
+    for c, kl, kr in crossings:
+        betas.append(betas[-1] * perimeter_s(kr, c) / perimeter_s(kl, c)
+                     if match_slope else 1.0)
+    if match_slope:
+        i = int(np.searchsorted(breaks, 0.5, side="right"))
+        scale = perimeter_s(ks[i], 0.5) / betas[i]
+        betas = [b * scale for b in betas]
+    alphas = [0.0]
+    for (c, kl, kr), bl, br in zip(crossings, betas, betas[1:]):
+        alphas.append(alphas[-1] + bl * radius_of_measure(kl, c)
+                      - br * radius_of_measure(kr, c))
+    return PiecewiseRadius(breaks, ks, tuple(map(float, betas)),
+                           tuple(map(float, alphas)))
+
+
+_DEG = 32
+_THETA = np.pi * (np.arange(_DEG + 1) + 0.5) / (_DEG + 1)
+_NODES = np.cos(_THETA)
+# values at _NODES -> Chebyshev coefficients (discrete cosine transform)
+_TO_COEF = (2.0 / (_DEG + 1)) * np.cos(np.outer(np.arange(_DEG + 1), _THETA))
+_TO_COEF[0] /= 2.0
+_TOL = 1e-12
+# w at a double s is known only to about eps / (1 - s), so panels near s = 1
+# cannot resolve their tails below this floor
+_NOISE = 64.0 * np.finfo(float).eps
+_MAX_PANELS = 400
+_S_LO, _S_HI = 1e-3, 1.0 - 1e-3
+_Y_FLOOR = np.log(1e-150)
+_U_FLOOR = 1e-8
+
+
+class _Cumulative:
+    """G(x) = g0 + int_{x0}^x f on Chebyshev panels of one coordinate.
+
+    The panels start as ``edges`` (``x0`` must be one of them) and are
+    bisected until their trailing coefficients fall below ``_TOL`` of the
+    panel's scale, or below ``_NOISE / gap(lo)``, where ``gap`` maps the
+    coordinate to 1 - s.  The scale is the panel's largest value but at
+    least 1e-2, so that an integrand that vanishes on a panel (s w(s) as
+    s -> 0 when n = 1) is not resolved down to its rounding noise; W and F
+    count to absolute accuracy there, W because it enters through exp(W).
+    """
+
+    def __init__(self, f, edges, gap, x0: float, g0: float):
+        todo, panels = list(zip(edges[:-1], edges[1:])), []
+        while todo:
+            lo, hi = np.array(todo).T
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            vals = f(mid[:, None] + half[:, None] * _NODES)
+            if not np.all(np.isfinite(vals)):
+                raise NumericalFailure(
+                    f"integrand not finite on [{lo.min():g}, {hi.max():g}]")
+            coef = vals @ _TO_COEF.T
+            scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-2)
+            tol = np.maximum(_TOL, _NOISE / gap(lo)) * scale
+            ok = np.max(np.abs(coef[:, -3:]), axis=1) <= tol
+            panels += zip(lo[ok], hi[ok], coef[ok])
+            todo = [p for l, m, h in zip(lo[~ok], mid[~ok], hi[~ok])
+                    for p in ((l, m), (m, h))]
+            if len(panels) + len(todo) > _MAX_PANELS:
+                raise NumericalFailure("panel splitting ran away")
+        panels.sort(key=lambda p: p[0])
+        lo, hi, coef = (np.array(v) for v in zip(*panels))
+        self.edges = np.append(lo, hi[-1])
+        self.mid, self.half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        # antiderivative on each panel, zero at its left edge
+        self.coef = cheb.chebint(coef, lbnd=-1, axis=1) * self.half[:, None]
+        total = self.coef.sum(axis=1)  # T_k(1) = 1
+        k = int(np.searchsorted(self.edges, x0))
+        at_edge = np.empty(len(self.edges))
+        at_edge[k] = g0
+        at_edge[k + 1:] = g0 + np.cumsum(total[k:])
+        at_edge[:k] = g0 - np.cumsum(total[:k][::-1])[::-1]
+        self.base = at_edge[:-1]
+
+    def __call__(self, x):
+        i = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
+                    0, len(self.base) - 1)
+        z = (x - self.mid[i]) / self.half[i]
+        c = self.coef[i]
+        b1 = b2 = 0.0
+        for k in range(c.shape[-1] - 1, 0, -1):  # Clenshaw
+            b1, b2 = c[..., k] + 2.0 * z * b1 - b2, b1
+        return self.base[i] + c[..., 0] + z * b1 - b2
+
+
+def _open_unit(a) -> tuple[np.ndarray, bool]:
+    aa = np.asarray(a, dtype=float)
+    if np.any(aa <= 0) or np.any(aa >= 1):
+        raise sf.DomainError("transform defined for 0 < a < 1")
+    return np.atleast_1d(aa), aa.ndim == 0
 
 
 class ExpIntegralTransform:
-    """F(a) = int_0^a exp(W(t)) dt with W(t) = int_{C0}^t w(s) ds.
+    """F(a) = int_0^a exp(W(t)) dt with W(t) = int_{1/2}^t w(s) ds.
 
-    ``w`` must be vectorized on (0,1) and integrable there with
-    w(s) ~ -(n-1)/(n s) as s -> 0 (so exp(W) ~ t^{-(n-1)/n}).  The inner
-    integral is cached on a growing knot grid; below the lowest knot the
-    integration runs in log coordinates, where s*w(s) is bounded.  The
-    outer integral uses the substitution t = u^n, which makes the
-    integrand bounded at 0, and splits at the supplied breakpoints.
+    ``w`` must be vectorized on (0,1) with s w(s) -> -(n-1)/n as s -> 0, so
+    that exp(W) ~ t^{-(n-1)/n}.  W is integrated on Chebyshev panels in
+    log s below 1e-3 (continued below s = 1e-150 with slope -(n-1)/n), in s
+    up to 1 - 1e-3, and in -log(1 - s) above.  F is integrated on panels in
+    u = t^{1/n}, where f(u) = n u^{n-1} exp(W(u^n)) tends to a constant
+    f(0), and in -log(1 - t) above 1 - 1e-3; below u = 1e-8, F = f(1e-8) u,
+    which holds to O(u^2) when s w(s) + (n-1)/n = O(s^{2/n}), as it is for
+    ``weak_F``.  Everything is built here, once, so each value is a fixed
+    function of its argument.
     """
 
-    def __init__(self, w, n: int, C0: float = 0.5, breakpoints=()):
-        if not 0.0 < C0 < 1.0:
-            raise ValueError("C0 must lie in (0,1)")
+    def __init__(self, w, n: int):
         self.w = w
-        self.n = int(n)
-        self.C0 = float(C0)
-        self.breaks = tuple(sorted(float(b) for b in breakpoints))
-        self._knots: dict[float, float] = {C0: 0.0}
+        self.n = n = int(n)
+        y_lo, x_hi = np.log(_S_LO), -np.log1p(-_S_HI)
+        x_top = 53.0 * np.log(2.0)  # -log(1 - s) at the largest double s < 1
+        self._W_mid = _Cumulative(w, [_S_LO, 0.5, _S_HI], lambda s: 1.0 - s,
+                                  0.5, 0.0)
+        self._W_log = _Cumulative(lambda y: np.exp(y) * w(np.exp(y)),
+                                  [_Y_FLOOR, y_lo], lambda y: -np.expm1(y),
+                                  y_lo, self._W_mid(_S_LO))
 
-    def _quad_w(self, lo: float, hi: float) -> float:
-        if lo == hi:
-            return 0.0
-        sign = 1.0
-        if lo > hi:
-            lo, hi, sign = hi, lo, -1.0
-        pts = [b for b in self.breaks if lo < b < hi]
-        if hi <= _LO_KNOT:
-            # log coordinates: s = exp(x), integrand s*w(s) stays bounded
-            val, err = quad(
-                lambda x: np.exp(x) * float(self.w(np.exp(x))),
-                np.log(lo),
-                np.log(hi),
-                epsabs=_INNER_EPS,
-                epsrel=_INNER_EPS,
-                limit=200,
-            )
-        else:
-            val, err = quad(
-                lambda s: float(self.w(s)),
-                lo,
-                hi,
-                points=pts or None,
-                epsabs=_INNER_EPS,
-                epsrel=_INNER_EPS,
-                limit=200,
-            )
-        if not np.isfinite(val):
-            raise NumericalFailure(f"inner integral not resolvable on [{lo}, {hi}]")
-        return sign * val
+        def w_tail(x):
+            s = -np.expm1(-x)
+            return (1.0 - s) * w(s)
 
-    def inner(self, t: float) -> float:
-        """W(t), cached at every previously requested abscissa."""
-        t = float(t)
-        if not 0.0 < t < 1.0:
-            raise sf.DomainError("inner integral defined for 0 < t < 1")
-        if t in self._knots:
-            return self._knots[t]
-        anchor = min(self._knots, key=lambda x: abs(np.log(x) - np.log(t)))
-        # never integrate across _LO_KNOT in one rule; split there
-        if (anchor - _LO_KNOT) * (t - _LO_KNOT) < 0:
-            base = self.inner(_LO_KNOT)
-            val = base + self._quad_w(_LO_KNOT, t)
-        else:
-            val = self._knots[anchor] + self._quad_w(anchor, t)
-        self._knots[t] = val
-        return val
+        self._W_tail = _Cumulative(w_tail, [x_hi, x_top], lambda x: np.exp(-x),
+                                   x_hi, self._W_mid(_S_HI))
+        # F's panels grow geometrically up to s = 1e-3, so that F keeps its
+        # relative accuracy there, then start on W's
+        u_lo = _S_LO ** (1.0 / n)
+        u_edges = np.concatenate([
+            np.geomspace(_U_FLOOR, u_lo, int(np.log10(u_lo / _U_FLOOR)) + 2)[:-1],
+            self._W_mid.edges ** (1.0 / n)])
+
+        def f_u(u):
+            return n * np.exp(self._W(u**n) + (n - 1) * np.log(u))
+
+        self._f0 = float(f_u(np.array(_U_FLOOR)))
+        self._F_u = _Cumulative(f_u, u_edges, lambda u: 1.0 - u**n,
+                                _U_FLOOR, self._f0 * _U_FLOOR)
+        self._F_tail = _Cumulative(lambda x: np.exp(self._W_tail(x) - x),
+                                   self._W_tail.edges, lambda x: np.exp(-x),
+                                   x_hi, self._F_u(u_edges[-1]))
+
+    def _W(self, t: np.ndarray) -> np.ndarray:
+        out = np.empty(t.shape)
+        lo, hi = t < _S_LO, t > _S_HI
+        mid = ~(lo | hi)
+        y = np.log(t[lo])
+        out[lo] = (self._W_log(np.maximum(y, _Y_FLOOR))
+                   - (self.n - 1) / self.n * np.minimum(y - _Y_FLOOR, 0.0))
+        out[mid] = self._W_mid(t[mid])
+        out[hi] = self._W_tail(-np.log1p(-t[hi]))
+        return out
 
     def __call__(self, a) -> np.ndarray | float:
-        aa = np.asarray(a, dtype=float)
-        scalar = aa.ndim == 0
-        aa = np.atleast_1d(aa)
-        if np.any(aa <= 0) or np.any(aa >= 1):
-            raise sf.DomainError("transform defined for 0 < a < 1")
-        out = np.array([self._outer(float(x)) for x in aa])
+        aa, scalar = _open_unit(a)
+        u = aa ** (1.0 / self.n)
+        out = np.empty(aa.shape)
+        lo, hi = u < _U_FLOOR, aa > _S_HI
+        mid = ~(lo | hi)
+        out[lo] = self._f0 * u[lo]
+        out[mid] = self._F_u(u[mid])
+        out[hi] = self._F_tail(-np.log1p(-aa[hi]))
         return float(out[0]) if scalar else out
 
     def slope(self, a) -> np.ndarray | float:
-        """First derivative of the transform: exp of the inner integral."""
-        aa = np.asarray(a, dtype=float)
-        scalar = aa.ndim == 0
-        out = np.exp([self.inner(float(x)) for x in np.atleast_1d(aa)])
+        """First derivative of the transform, exp(W(a))."""
+        aa, scalar = _open_unit(a)
+        out = np.exp(self._W(aa))
         return float(out[0]) if scalar else out
 
-    def _outer(self, a: float) -> float:
-        n = self.n
-        # seed knots near the floor so low-t inner calls stay short
-        self.inner(_LO_KNOT)
 
-        def integrand(u: float) -> float:
-            t = u**n
-            return n * u ** (n - 1) * np.exp(self.inner(t))
-
-        pts = [b ** (1.0 / n) for b in self.breaks if b < a]
-        val, err = quad(
-            integrand,
-            0.0,
-            a ** (1.0 / n),
-            points=pts or None,
-            epsabs=_OUTER_EPS,
-            epsrel=_OUTER_EPS,
-            limit=200,
-        )
-        if not np.isfinite(val) or (err > 1e-6 * max(1.0, abs(val))):
-            raise NumericalFailure(
-                f"outer integral not resolved at a={a}", achieved=val
-            )
-        return val
-
-
-@lru_cache(maxsize=8)
-def _phi_min_transform(n: int, C0: float) -> ExpIntegralTransform:
+@lru_cache(maxsize=None)
+def _conjecture(n: int) -> PiecewiseRadius:
     table = partition(n)
-    breaks = tuple(c[0] for c in table.crossings_phi)
-
-    def w(s):
-        ss = np.atleast_1d(np.asarray(s, dtype=float))
-        vals = np.vstack([phi_k(k, ss) for k in range(1, n + 1)])
-        out = np.min(vals, axis=0)
-        return out if np.ndim(s) else float(out[0])
-
-    return ExpIntegralTransform(w, n, C0=C0, breakpoints=breaks)
+    return _glued_radius(table.crossings_phi, table.phi_argmin[0], match_slope=True)
 
 
-@lru_cache(maxsize=8)
-def _weak_transform(n: int, C0: float) -> ExpIntegralTransform:
+@lru_cache(maxsize=None)
+def _weak(n: int) -> ExpIntegralTransform:
     c = sf.j_total(n - 1)
     e2n2 = 2.0 * np.e**2 * n**2
 
@@ -366,74 +462,39 @@ def _weak_transform(n: int, C0: float) -> ExpIntegralTransform:
         R = sf.j_inverse_regularized(n - 1, ss)
         return q**2 / (e2n2 * ss) + c / sf.g(n, R) - 1.0 / ss
 
-    return ExpIntegralTransform(w, n, C0=C0)
+    return ExpIntegralTransform(w, n)
 
 
-def conjecture_F(n: int, a, C0: float = 0.5) -> np.ndarray | float:
+def conjecture_F(n: int, a) -> np.ndarray | float:
     """Conjectured extremal transform built from the pointwise min of phi_k.
 
     For n = 1 this reduces to a constant multiple of ``specfun.phi_inv``.
     """
-    return _phi_min_transform(int(n), float(C0))(a)
+    return conjecture_transform(n)(a)
 
 
-def weak_F(n: int, a, C0: float = 0.5) -> np.ndarray | float:
+def weak_F(n: int, a) -> np.ndarray | float:
     """Proven concavifying transform from the torsion/moment lower bound."""
-    return _weak_transform(int(n), float(C0))(a)
+    return weak_transform(n)(a)
 
 
-def conjecture_transform(n: int, C0: float = 0.5) -> ExpIntegralTransform:
+def conjecture_transform(n: int) -> PiecewiseRadius:
     """The conjectured transform as an object exposing value and slope."""
-    return _phi_min_transform(int(n), float(C0))
+    return _conjecture(int(n))
 
 
-def weak_transform(n: int, C0: float = 0.5) -> ExpIntegralTransform:
+def weak_transform(n: int) -> ExpIntegralTransform:
     """The proven transform as an object exposing value and slope."""
-    return _weak_transform(int(n), float(C0))
+    return _weak(int(n))
 
 
-def bad_transform(n: int):
-    """Piecewise radius transform glued over the perimeter-optimal intervals.
+def bad_transform(n: int) -> PiecewiseRadius:
+    """Radius transform glued over the perimeter-optimal intervals.
 
-    Uses the intervals where s_k is minimal (not where phi_k is minimal),
-    with additive constants accumulated left to right for continuity; the
-    first stretch is anchored at zero.  Returns an object with ``value``
-    and ``slope`` callables; expected NOT to produce a concave composition.
+    It uses the intervals where s_k is minimal (not where phi_k is
+    minimal), with every beta = 1 and the alphas accumulated left to right
+    for continuity; the first piece is anchored at zero.  It is expected
+    NOT to produce a concave composition.
     """
     table = partition(n)
-    bounds = [table.a[0]] + [c[0] for c in table.crossings_s] + [table.a[-1]]
-    ks, consts = [], []
-    offset = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (lo + hi)
-        k = 1 + int(np.argmin([perimeter_s(j, mid) for j in range(1, n + 1)]))
-        if ks:
-            prev_k, prev_c = ks[-1], consts[-1]
-            offset = prev_c + radius_of_measure(prev_k, lo) - radius_of_measure(k, lo)
-        ks.append(k)
-        consts.append(offset)
-
-    bounds_arr = np.asarray(bounds)
-
-    class _Bad:
-        breaks = tuple(bounds[1:-1])
-
-        @staticmethod
-        def _piece(a: float) -> int:
-            return min(np.searchsorted(bounds_arr[1:-1], a, side="right"),
-                       len(ks) - 1)
-
-        def value(self, a):
-            aa = np.atleast_1d(np.asarray(a, dtype=float))
-            out = np.array([radius_of_measure(ks[self._piece(x)], x)
-                            + consts[self._piece(x)] for x in aa])
-            return float(out[0]) if np.ndim(a) == 0 else out
-
-        __call__ = value
-
-        def slope(self, a):
-            aa = np.atleast_1d(np.asarray(a, dtype=float))
-            out = np.array([1.0 / perimeter_s(ks[self._piece(x)], x) for x in aa])
-            return float(out[0]) if np.ndim(a) == 0 else out
-
-    return _Bad()
+    return _glued_radius(table.crossings_s, table.s_argmin[0], match_slope=False)

@@ -419,7 +419,7 @@ def gauss_main_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None,
     c = r * r / (2.0 * m)
     if not c * V < 1.0:
         raise gm.QuadratureFailure("variance term at the stability limit")
-    tail = 1.0 / (K.n - ex2.value)
+    tail = 1.0 / _second_moment_margin(K.n, ex2.value)
     alpha_star = m + (1.0 / c - V) / (1.0 - m)
     bound = c * (1.0 - m) ** 2 / (1.0 - c * V) + tail
 
@@ -462,7 +462,7 @@ def corT1_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None) -> dict:
     s = gm.polar_sample(K, rule)
     a = s.integral(gm.RayPolynomial.constant(1.0))
     ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
-    value = 2.0 * t_res.value + 1.0 / (K.n - ex2.value)
+    value = 2.0 * t_res.value + 1.0 / _second_moment_margin(K.n, ex2.value)
     return {"value": float(value), "torsion": t_res, "ex2": float(ex2.value),
             "torsion_kind": t_res.kind}
 
@@ -486,7 +486,7 @@ def minkowski_first_check(K: bd.SupportBody, L: bd.SupportBody,
     aL = gm.measure(L, rule)
     ex2 = sK.integral(gm.RayPolynomial.abs_x_power(2)).over(aK)
     lhs = gm.gamma_one(K, L, rule=rule)
-    nm = K.n - ex2.value
+    nm = _second_moment_margin(K.n, ex2.value)
     p = 1.0 / nm
     product = aK.value ** (1.0 - p) * aL.value ** p
     rhs = nm * product
@@ -551,7 +551,7 @@ def propgauss_check(K: bd.SupportBody, u: MultiPoly,
     grad = s.integral(u.grad_sq().to_ray()).over(a)
     ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
     lu = s.integral((u.laplacian() - u.euler()).to_ray()).over(a)
-    rhs = grad.value + lu.value ** 2 / (K.n - ex2.value)
+    rhs = grad.value + lu.value ** 2 / _second_moment_margin(K.n, ex2.value)
     slack = hess.value - rhs
     err = hess.err + grad.err + 2.0 * abs(lu.value) * lu.err + ex2.err
     return {"lhs": float(hess.value), "rhs": float(rhs),
@@ -563,10 +563,16 @@ def propgauss_check(K: bd.SupportBody, u: MultiPoly,
 # moment functionals
 
 
-def _alpha_from(n: int, m2: float, m4: float) -> float:
-    denom = (n - m2) ** 2
-    if denom == 0.0:
+def _second_moment_margin(n: int, m2: float) -> float:
+    """n - E|X|^2, which several bounds divide by; 0 is a numerical failure."""
+    margin = n - m2
+    if margin == 0.0:
         raise gm.QuadratureFailure("second-moment margin n - E|X|^2 vanished")
+    return margin
+
+
+def _alpha_from(n: int, m2: float, m4: float) -> float:
+    denom = _second_moment_margin(n, m2) ** 2
     return (n * (n - 1.0) - (2.0 * n + 1.0) * m2 + m4) / denom
 
 

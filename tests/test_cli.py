@@ -139,6 +139,16 @@ class TestVerifyCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("check", ["cor-t1", "propgauss", "minkowski-first"])
+    def test_vanishing_margin_in_bounds_is_numerical_failure(self, check, capsys,
+                                                             tmp_path):
+        # each of these divides by n - E|X|^2, which is 0 on this ball
+        code, _, err = run(["verify", "--check", check, "--n", "2",
+                            "--body", "ball:R=10", "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code == 3
+        assert "second-moment margin" in err
+
     def test_violation_exit_code_routing(self, capsys, tmp_path, monkeypatch):
         # no true inequality in the suite actually fails, so exercise the
         # exit-1 path by stubbing a check that reports a negative margin

@@ -107,6 +107,81 @@ WEAK_NEAR_ONE = {
     (3, 14): 1487013160103.4149891,
 }
 
+
+# conjecture_F and its slope as the closed form beta_k R_k(a) + alpha_k and
+# beta_k / s_k(a), keyed by (n, j) at the double a = 1.0 - 10.0**-j and by
+# (n, a) at middle points.  Frozen from mpmath at 50 digits, rounded to 20,
+# with R_k and s_k as in NEAR_ONE_PROFILES: the crossing c of phi_1 = phi_n
+# by bisection, beta_n = s_n(1/2), beta_1 = beta_n s_1(c) / s_n(c) and
+# alpha_1 = beta_n R_n(c) - beta_1 R_1(c); no gausscvx code.
+CONJECTURE_NEAR_ONE = {
+    (2,  3): (2.1874952947752893973, 157.80230150906901714),
+    (2,  4): (2.5240655118412388778, 1360.914965484059294),
+    (2,  5): (2.8194195370015921208, 12127.979168966518128),
+    (2,  6): (3.0855419866604842281, 110373.28461834804585),
+    (2,  7): (3.3295768051296606844, 1019225.5063578431019),
+    (2,  8): (3.5561789382536915488, 9513159.2631748014575),
+    (2,  9): (3.7685773093810650786, 89523029.340069345377),
+    (2, 10): (3.9691182101041666972, 847912504.2145070086),
+    (2, 11): (4.1595690117303571636, 8073055766.537879667),
+    (2, 12): (4.3413013532647284328, 77198477646.186495038),
+    (2, 13): (4.5153740641793436152, 740629808887.6238283),
+    (2, 14): (4.6827978305046050176, 7137551910502.7397859),
+    (2, 15): (4.8441090917694658696, 68893254929422.591638),
+    (3,  3): (2.3319070445142561799, 151.13342215157405708),
+    (3,  4): (2.6542534755423973801, 1303.4013700939374502),
+    (3,  5): (2.9371255511829476576, 11615.438926177971367),
+    (3,  6): (3.1920014062476906947, 105708.80182962322488),
+    (3,  7): (3.4257230749856156676, 976152.04117399384069),
+    (3,  8): (3.6427487806842941485, 9111123.8630060508664),
+    (3,  9): (3.8461709892384273261, 85739698.699913295284),
+    (3, 10): (4.038236835666526295, 812078893.79030791359),
+    (3, 11): (4.2206390004386447949, 7731880546.4142619306),
+    (3, 12): (4.3946911557560986843, 73935994595.677236686),
+    (3, 13): (4.5614073839235028017, 709330069930.69705631),
+    (3, 14): (4.7217556583926683801, 6835911996865.2009923),
+    (3, 15): (4.876249748234215854, 65981758701067.140095),
+}
+CONJECTURE_MIDDLE = {
+    (2, 0.05): (0.1885571594672605397, 1.934767720242461567),
+    (2, 0.5): (0.69314718055994530942, 1.0),
+    (2, 0.9): (1.263340953665392104, 2.7433100246963580286),
+    (2, 0.99): (1.7866290446914512716, 19.394862442765559663),
+    (3, 0.05): (0.34305346640605700777, 2.4563751336263187024),
+    (3, 0.5): (0.88959079453441130329, 1.0),
+    (3, 0.9): (1.4460175242880209265, 2.6408305790530142588),
+    (3, 0.99): (1.9479817936093614752, 18.575216616633041975),
+}
+
+# weak_F and its slope exp(W(a)), keyed by (n, a).  Frozen from mpmath at 34
+# digits, rounded to 22, by nested quadrature of F = int_0^a exp(W(t)) dt,
+# W(t) = int_{1/2}^t w(s) ds with w the defining form in WEAK_NEAR_ONE's
+# comment; both integrals run in the radius R, where s = P(n/2, R^2/2) and
+# ds = g_{n-1}(R) / c dR.  A second route, W = log(R_n(t) / R_n(1/2)) - log 2t
+# + int_{1/2}^t phi_inv(s)^2 / s ds / (2 e^2 n^2) from d log R_n / ds =
+# c / g_n(R), agrees to every digit kept.
+WEAK_F_REFERENCE = {
+    (1, 1e-6): (9.159178560073362176241e-7, 0.9159178560075285684994),
+    (1, 0.05): (0.04580792206470274475727, 0.9166400093481327467807),
+    (1, 0.3): (0.27745213405672898199, 0.9432477015355513921758),
+    (1, 0.7): (0.6812385802772811381169, 1.115467926574553760062),
+    (1, 0.95): (1.003656161225410915956, 1.618401731667521388251),
+    (1, 0.999): (1.095532187406822279346, 2.631896672855744824664),
+    (2, 1e-6): (0.00119684466980234520668, 598.4224346382913257428),
+    (2, 0.05): (0.2687580395144531126038, 2.710706426991699611205),
+    (2, 0.3): (0.6739744245400449552357, 1.192765010449827153659),
+    (2, 0.7): (1.082728848854050751484, 0.945197017917280487916),
+    (2, 0.95): (1.329216575665394084122, 1.109754634288599490401),
+    (2, 0.999): (1.389574530045615262708, 1.609918236080527673891),
+    (3, 1e-6): (0.01514008024611570289305, 5046.774772235182270401),
+    (3, 0.05): (0.5641481619618242383351, 3.850253052207400749857),
+    (3, 0.3): (1.057028664058420812521, 1.291497422914463156593),
+    (3, 0.7): (1.46850887346749340669, 0.8905867354835233884367),
+    (3, 0.95): (1.692008556810200121716, 0.9625605205088324568522),
+    (3, 0.999): (1.743387384236449810735, 1.32331257983692515329),
+}
+
+
 class TestRadiusMaps:
     def test_round_trip(self):
         a = np.linspace(0.01, 0.99, 50)
@@ -226,6 +301,18 @@ class TestPartition:
             assert table.phi_argmin[0] == n
             assert table.s_argmin[0] == n
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_phi_argmin_pieces_hold_off_the_grid(self, n):
+        # conjecture_F takes its pieces from the grid in [0.005, 0.995]; the
+        # argmin of phi_k must not switch again out to a = 1e-150 and 1 - 1e-15
+        tr = cyl.conjecture_transform(n)
+        assert tr.ks == ((n, 1) if n > 1 else (1,))
+        a = np.concatenate([np.logspace(-150.0, np.log10(0.5), 700),
+                            1.0 - np.logspace(np.log10(0.5), -15.0, 700)])
+        phi = np.vstack([cyl.phi_k(k, a) for k in range(1, n + 1)])
+        active = np.asarray(tr.ks)[np.searchsorted(tr.breaks, a, side="right")]
+        np.testing.assert_array_equal(np.argmin(phi, axis=0) + 1, active)
+
 
 class TestTransforms:
     def test_conjecture_slope_vs_fd(self):
@@ -258,6 +345,57 @@ class TestTransforms:
         for tr in (cyl.conjecture_transform(2), cyl.weak_transform(3)):
             v = np.array([tr(x) for x in a])
             assert np.all(np.diff(v) > 0)
+
+    def test_conjecture_closed_form_against_mpmath(self):
+        cases = [((n, 1.0 - 10.0 ** -j), ref)
+                 for (n, j), ref in CONJECTURE_NEAR_ONE.items()]
+        cases += list(CONJECTURE_MIDDLE.items())
+        for (n, a), (F, slope) in cases:
+            tr = cyl.conjecture_transform(n)
+            assert tr(a) == pytest.approx(F, rel=1e-12), (n, a)
+            assert tr.slope(a) == pytest.approx(slope, rel=1e-12), (n, a)
+
+    def test_weak_against_nested_mpmath(self):
+        for (n, a), (F, slope) in WEAK_F_REFERENCE.items():
+            tr = cyl.weak_transform(n)
+            assert tr(a) == pytest.approx(F, rel=1e-10), (n, a)
+            assert tr.slope(a) == pytest.approx(slope, rel=1e-10), (n, a)
+
+    def test_weak_keeps_its_power_law_near_zero(self):
+        # exp(W) ~ t^{-(n-1)/n}, so F / a^{1/n} and F' a^{(n-1)/n} settle to
+        # constants as a -> 0, down to the smallest measures.  W reaches 230
+        # at a = 1e-150 for n = 3, and the rounding of w accumulates along
+        # those 345 units of log s, so the slope gets 1e-11.
+        a = np.array([1e-300, 1e-200, 1e-100, 1e-40, 1e-24])
+        for n in (2, 3):
+            tr = cyl.weak_transform(n)
+            value = tr(a) / a ** (1.0 / n)
+            slope = tr.slope(a) * a ** ((n - 1.0) / n)
+            np.testing.assert_allclose(value, value[0], rtol=1e-12)
+            np.testing.assert_allclose(slope, slope[0], rtol=1e-11)
+            assert value[0] == pytest.approx(n * slope[0], rel=1e-11)
+
+    def test_unresolvable_integrand_is_numerical_failure(self):
+        def non_finite(s):
+            return np.where(s < 0.9, -0.5 / s, np.nan)
+
+        def rough(s):
+            return -0.5 / s + 1e-3 * np.sin(1e9 * s)
+
+        for w in (non_finite, rough):
+            with pytest.raises(cyl.NumericalFailure):
+                cyl.ExpIntegralTransform(w, 2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_values_independent_of_call_history(self, n):
+        # the same point on a fresh transform and on one that has already
+        # evaluated 12 others must give bit-identical values
+        w = cyl.weak_transform(n).w
+        fresh = cyl.ExpIntegralTransform(w, n)
+        used = cyl.ExpIntegralTransform(w, n)
+        for a in np.linspace(0.03, 0.97, 12):
+            used(a), used.slope(a)
+        assert (used(0.37), used.slope(0.37)) == (fresh(0.37), fresh.slope(0.37))
 
     def test_log_slope_derivative_matches_min_phi(self):
         # the defining property: (log F')' = min_k phi_k
