@@ -339,7 +339,9 @@ def sphere_area(n: int) -> float:
 # radial / gauge / inradius
 
 
-def _golden_refine(f, lo: float, hi: float, iters: int = 40) -> float:
+def _golden_refine(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
+    """Golden-section search for a minimum of f on [lo, hi]: (fmin, argmin),
+    the right point on an exact tie of the last two."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -354,7 +356,7 @@ def _golden_refine(f, lo: float, hi: float, iters: int = 40) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    return min((fc, c), (fd, d))[0]
+    return (fc, c) if fc < fd else (fd, d)
 
 
 def radial(body: SupportBody, theta, with_err: bool = False):
@@ -405,7 +407,7 @@ def _refine_seed(body: SupportBody, theta: np.ndarray, u0: np.ndarray, delta: fl
     if n == 2:
         a0 = np.arctan2(u0[1], u0[0])
         f = lambda a: quotient(np.array([np.cos(a), np.sin(a)]))
-        return _golden_refine(f, a0 - delta, a0 + delta)
+        return _golden_refine(f, a0 - delta, a0 + delta)[0]
     # alternate golden sections along two tangent directions
     u = u0.copy()
     best = quotient(u)
@@ -413,21 +415,7 @@ def _refine_seed(body: SupportBody, theta: np.ndarray, u0: np.ndarray, delta: fl
         basis = _tangent_basis(u)
         for d in basis:
             f = lambda s: quotient(_norm(u + s * d))
-            s_best = None
-            invphi = (np.sqrt(5.0) - 1.0) / 2.0
-            a, b = -delta, delta
-            c_, d_ = b - invphi * (b - a), a + invphi * (b - a)
-            fc, fd = f(c_), f(d_)
-            for _ in range(30):
-                if fc < fd:
-                    b, d_, fd = d_, c_, fc
-                    c_ = b - invphi * (b - a)
-                    fc = f(c_)
-                else:
-                    a, c_, fc = c_, d_, fd
-                    d_ = a + invphi * (b - a)
-                    fd = f(d_)
-            s_best = c_ if fc < fd else d_
+            _, s_best = _golden_refine(f, -delta, delta, iters=30)
             u = _norm(u + s_best * d)
             best = min(best, quotient(u))
         delta *= 0.35
@@ -481,7 +469,7 @@ def inradius(body: SupportBody) -> float | None:
         if body.n == 2:
             a0 = np.arctan2(u[1], u[0])
             f = lambda a: float(body.support(np.array([[np.cos(a), np.sin(a)]]))[0])
-            best = min(best, _golden_refine(f, a0 - delta, a0 + delta))
+            best = min(best, _golden_refine(f, a0 - delta, a0 + delta)[0])
         else:
             best = min(best, float(hvals[j]))
     return float(best)

@@ -173,10 +173,11 @@ def _bisect_cross(f, lo: float, hi: float, iters: int = 80) -> float:
     flo = f(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if f(mid) == 0.0:
+        fmid = f(mid)
+        if fmid == 0.0:
             return mid
-        if (f(mid) > 0) == (flo > 0):
-            lo, flo = mid, f(mid)
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
         else:
             hi = mid
         if hi - lo < 1e-15:

@@ -15,15 +15,21 @@ half-grid difference as their error; the MC rule reports 3 standard
 errors.  Sums use numpy's pairwise reduction, so results do not depend
 on evaluation order.
 
+Integrands are ``RayPolynomial``s: sums of terms c x^m |x|^a ||x||_K^g
+held as data, one class for the moments here, the torsion test functions
+and the calculus of ``verify.MultiPoly``.  ``RayPolynomial.coeffs`` is the
+one place a polynomial is lowered to the ray coefficients a_j(theta),
+from the directions and the sampled rho.
+
 A ``PolarSample`` holds rho on a rule and on its nested half rule, so a
 body's radial function is evaluated once per rule however many moments,
-bundles and torsion bounds integrate against it; ray-polynomial
-coefficients are functions of (directions, rho).  ``measure`` and
+bundles and torsion bounds integrate against it.  ``measure`` and
 ``ray_integral`` are one-shot forms over a fresh sample.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,87 +86,97 @@ class Estimate:
         return Estimate(v, e, self.method)
 
 
-@dataclass(frozen=True)
 class RayPolynomial:
-    """f with f(t theta) = sum_j coeffs(theta, rho)[:, j] t^j for t >= 0,
-    where rho is the body's radial function at the directions theta."""
+    """f(x) = sum c x^m |x|^a ||x||_K^g over ``terms`` {(m, a, g): c}.
 
-    degree: int
-    coeffs: "callable"
+    m is an exponent tuple with trailing zeros dropped, so the
+    dimension-free atoms and coordinate monomials share one key space;
+    zero terms are pruned.  K enters only through its sampled radial
+    function when ``coeffs`` lowers f to ray coefficients.
+    """
+
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c != 0.0}
 
     @staticmethod
-    def constant(c: float):
-        return RayPolynomial(0, lambda dirs, rho: np.full((len(dirs), 1), float(c)))
+    def constant(c: float) -> "RayPolynomial":
+        return RayPolynomial({((), 0, 0): float(c)})
 
     @staticmethod
-    def abs_x_power(j: int):
+    def abs_x_power(j: int) -> "RayPolynomial":
         """|x|^j."""
-
-        def cf(dirs, rho):
-            out = np.zeros((len(dirs), j + 1))
-            out[:, j] = 1.0
-            return out
-
-        return RayPolynomial(j, cf)
+        return RayPolynomial({((), j, 0): 1.0})
 
     @staticmethod
-    def dot_power(theta, j: int):
+    def dot_power(theta, j: int) -> "RayPolynomial":
         """<x, theta>^j."""
-        th = np.asarray(theta, dtype=float)
-
-        def cf(dirs, rho):
-            out = np.zeros((len(dirs), j + 1))
-            out[:, j] = (dirs @ th) ** j
-            return out
-
-        return RayPolynomial(j, cf)
+        lin = RayPolynomial({((0,) * i + (1,), 0, 0): float(t)
+                             for i, t in enumerate(np.asarray(theta, dtype=float))})
+        out = RayPolynomial.constant(1.0)
+        for _ in range(j):
+            out = out * lin
+        return out
 
     @staticmethod
-    def gauge_power(j: int):
+    def gauge_power(j: int) -> "RayPolynomial":
         """||x||_K^j, read from the sampled radial function of K."""
+        return RayPolynomial({((), 0, j): 1.0})
 
-        def cf(dirs, rho):
-            out = np.zeros((len(dirs), j + 1))
-            with np.errstate(divide="ignore"):
-                out[:, j] = np.where(np.isinf(rho), 0.0, 1.0 / rho**j)
-            return out
+    def _like(self, terms: dict) -> "RayPolynomial":
+        """A polynomial of this one's class and fields with other terms."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        RayPolynomial.__init__(out, terms)
+        return out
 
-        return RayPolynomial(j, cf)
+    def __add__(self, other: "RayPolynomial | float") -> "RayPolynomial":
+        if not isinstance(other, RayPolynomial):
+            other = RayPolynomial.constant(other)
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            t[k] = t.get(k, 0.0) + c
+        return self._like(t)
 
-    def __add__(self, other: "RayPolynomial") -> "RayPolynomial":
-        d = max(self.degree, other.degree)
-        a, b = self.coeffs, other.coeffs
+    __radd__ = __add__
 
-        def cf(dirs, rho):
-            out = np.zeros((len(dirs), d + 1))
-            ca, cb = a(dirs, rho), b(dirs, rho)
-            out[:, : ca.shape[1]] += ca
-            out[:, : cb.shape[1]] += cb
-            return out
-
-        return RayPolynomial(d, cf)
+    def __sub__(self, other: "RayPolynomial | float") -> "RayPolynomial":
+        return self + other * -1.0
 
     def __mul__(self, other: "RayPolynomial | float") -> "RayPolynomial":
         if not isinstance(other, RayPolynomial):
             c = float(other)
-            a = self.coeffs
-            return RayPolynomial(self.degree, lambda dirs, rho: c * a(dirs, rho))
-        d = self.degree + other.degree
-        a, b = self.coeffs, other.coeffs
-
-        def cf(dirs, rho):
-            ca, cb = a(dirs, rho), b(dirs, rho)
-            out = np.zeros((len(dirs), d + 1))
-            for i in range(ca.shape[1]):
-                out[:, i : i + cb.shape[1]] += ca[:, i : i + 1] * cb
-            return out
-
-        return RayPolynomial(d, cf)
+            return self._like({k: c * v for k, v in self.terms.items()})
+        t: dict = {}
+        for (m1, a1, g1), c1 in self.terms.items():
+            for (m2, a2, g2), c2 in other.terms.items():
+                lo, hi = (m1, m2) if len(m1) <= len(m2) else (m2, m1)
+                k = (tuple(map(operator.add, lo, hi)) + hi[len(lo):], a1 + a2, g1 + g2)
+                t[k] = t.get(k, 0.0) + c1 * c2
+        return self._like(t)
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: "RayPolynomial") -> "RayPolynomial":
-        return self + (other * -1.0)
+    @property
+    def degree(self) -> int:
+        return max((sum(m) + a + g for m, a, g in self.terms), default=0)
+
+    def coeffs(self, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """(n_dirs, degree + 1) array A with f(t theta) = sum_j A[:, j] t^j
+        at the directions theta = dirs, where rho is K's radial function.
+
+        A term adds c theta^m rho^-g to column |m| + a + g; rho^-g is 0 on
+        rays that never leave K.
+        """
+        out = np.zeros((len(dirs), self.degree + 1))
+        for (m, a, g), c in self.terms.items():
+            col = np.full(len(dirs), c)
+            for i, e in enumerate(m):
+                if e:
+                    col = col * dirs[:, i] ** e
+            if g:
+                col = col / rho**g
+            out[:, sum(m) + a + g] += col
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +225,8 @@ class PolarSample:
     rho: np.ndarray
     half: "PolarSample | None"
 
-    def _ray_values(self, f: RayPolynomial) -> np.ndarray:
-        A = np.asarray(f.coeffs(self.rule.points, self.rho), dtype=float)
+    def _ray_values(self, coeffs) -> np.ndarray:
+        A = np.asarray(coeffs(self.rule.points, self.rho), dtype=float)
         out = np.zeros(len(self.rho))
         for j in range(A.shape[1]):
             col = A[:, j]
@@ -218,16 +234,22 @@ class PolarSample:
                 out += col * sf.j_lower(self.K.n + j - 1, self.rho)
         return out
 
-    def integral(self, f: RayPolynomial) -> Estimate:
+    def integral(self, f) -> Estimate:
         """Unnormalized int_K f dgamma by the polar rule; err from the
-        nested half-resolution rule (3 sigma for the n=4 Monte Carlo rule)."""
-        per_dir = self._ray_values(f)
+        nested half-resolution rule (3 sigma for the n=4 Monte Carlo rule).
+
+        f is a RayPolynomial or, for an integrand that is polynomial along
+        each ray but not a RayPolynomial, a function (dirs, rho) -> ray
+        coefficients shaped like ``RayPolynomial.coeffs``.
+        """
+        coeffs = f.coeffs if isinstance(f, RayPolynomial) else f
+        per_dir = self._ray_values(coeffs)
         val = _polar_sum(self.rule, per_dir)
         if self.half is None:
             norm = (2.0 * np.pi) ** (-self.K.n / 2.0) * bd.sphere_area(self.K.n)
             err = 3.0 * norm * float(np.std(per_dir)) / np.sqrt(self.rule.size)
         else:
-            err = abs(val - _polar_sum(self.half.rule, self.half._ray_values(f)))
+            err = abs(val - _polar_sum(self.half.rule, self.half._ray_values(coeffs)))
         err += 1e-13 * max(1.0, abs(val))
         return Estimate(val, err, "quadrature")
 

@@ -119,8 +119,7 @@ def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
     lt_err = (2.0 * r * r * abs(cross.value) * cross.err / (4.0 * b.gK2.value)
               + last_touch * b.gK2.err / b.gK2.value)
     floor = float(sf.phi_inv(b.a.value)) ** 2 / (4.0 * np.e**2 * K.n**2)
-    s = b.sample
-    is_const1 = F.degree == 0 and np.all(F.coeffs(s.rule.points, s.rho) == 1.0)
+    is_const1 = F.terms == gm.RayPolynomial.constant(1.0).terms
     value = max(last_touch, floor) if is_const1 else last_touch
     return TorsionResult(
         value, lt_err, "gauge_lower", F_label,
@@ -143,7 +142,8 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
         raise ValueError("test function must vanish on the boundary: P(1) = 0")
     s = gm.polar_sample(K, rule)
     a = s.integral(gm.RayPolynomial.constant(1.0))
-    fv = s.integral(F * _gauge_polynomial_ray(P)).over(a)
+    v = gm.RayPolynomial({((), 0, j): c for j, c in enumerate(P)})
+    fv = s.integral(F * v).over(a)
 
     dP = np.array([j * P[j] for j in range(1, len(P))])
     b = np.convolve(dP, dP) if len(dP) else np.zeros(1)
@@ -155,7 +155,7 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
             out[:, m] = b[m] * q**m * (q**2 + grad_tan2)
         return out
 
-    grad2 = s.integral(gm.RayPolynomial(len(b) - 1, cf)).over(a)
+    grad2 = s.integral(cf).over(a)
     if grad2.value <= 0:
         raise TorsionFailure("degenerate gradient energy")
     quotient = fv.times(fv).over(grad2)
@@ -168,18 +168,6 @@ def _inverse_radial(rho: np.ndarray) -> np.ndarray:
     """q = 1/rho, 0 along rays that never leave the body."""
     with np.errstate(divide="ignore"):
         return np.where(np.isinf(rho), 0.0, 1.0 / rho)
-
-
-def _gauge_polynomial_ray(P: np.ndarray) -> gm.RayPolynomial:
-    def cf(dirs, rho):
-        q = _inverse_radial(rho)
-        out = np.zeros((len(dirs), len(P)))
-        for j, c in enumerate(P):
-            if c != 0.0:
-                out[:, j] = c * q**j
-        return out
-
-    return gm.RayPolynomial(len(P) - 1, cf)
 
 
 def _gauge_slope_sq(K: bd.SupportBody, pts: np.ndarray, rho: np.ndarray, h: float):

@@ -27,90 +27,62 @@ class VerificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# dense multivariate polynomials (caller-side symbolic expansion)
+# coordinate polynomials: gm.RayPolynomial with pointwise values and calculus
 
 
-def _prune(terms: dict) -> dict:
-    return {m: c for m, c in terms.items() if c != 0.0}
+def _strip(m) -> tuple:
+    """An exponent tuple without trailing zeros, the key form of gm.RayPolynomial."""
+    m = tuple(m)
+    while m and m[-1] == 0:
+        m = m[:-1]
+    return m
 
 
-@dataclass(frozen=True)
-class MultiPoly:
-    """Polynomial on R^n stored as {exponent tuple: coefficient}.
+class MultiPoly(gm.RayPolynomial):
+    """Polynomial on R^n built from {exponent tuple: coefficient}.
 
-    Supports the ring operations plus the differential operators needed by
-    the variance and Hessian checks; ``to_ray`` lowers the polynomial to
-    its per-direction radial profile for spherical-rule integration.
+    A ``gm.RayPolynomial`` with the dimension attached: the ring operations
+    and the lowering to ray coefficients are the parent's.  Pointwise
+    evaluation and the differential operators the variance and Hessian
+    checks need accept only coordinate monomials; a term with an |x| or
+    gauge factor raises ``VerificationError``.
     """
 
-    n: int
-    terms: dict
+    def __init__(self, n: int, terms: dict):
+        super().__init__({(_strip(m), 0, 0): c for m, c in terms.items()})
+        self.n = n
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def constant(n: int, c: float) -> "MultiPoly":
-        c = float(c)
-        return MultiPoly(n, {(0,) * n: c} if c != 0.0 else {})
+        return MultiPoly(n, {(): float(c)})
 
     @staticmethod
     def coord(n: int, i: int) -> "MultiPoly":
         if not 0 <= i < n:
             raise VerificationError("coordinate index out of range")
-        e = [0] * n
-        e[i] = 1
-        return MultiPoly(n, {tuple(e): 1.0})
+        return MultiPoly(n, {(0,) * i + (1,): 1.0})
 
     @staticmethod
     def abs_sq(n: int) -> "MultiPoly":
         """|x|^2."""
-        t = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = 2
-            t[tuple(e)] = 1.0
-        return MultiPoly(n, t)
+        return MultiPoly(n, {(0,) * i + (2,): 1.0 for i in range(n)})
 
-    # -- ring operations ---------------------------------------------------
-    def __add__(self, other: "MultiPoly | float") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.n, other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, 0.0) + c
-        return MultiPoly(self.n, _prune(t))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly | float") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.n, other)
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly | float") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            c = float(other)
-            return MultiPoly(self.n, _prune({m: c * v for m, v in self.terms.items()}))
-        t: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                t[m] = t.get(m, 0.0) + c1 * c2
-        return MultiPoly(self.n, _prune(t))
-
-    __rmul__ = __mul__
+    def _require_monomials(self) -> None:
+        if any(a or g for _, a, g in self.terms):
+            raise VerificationError(
+                "pointwise values and derivatives need coordinate monomials; "
+                "this polynomial has an |x| or gauge factor")
 
     # -- calculus ----------------------------------------------------------
     def diff(self, i: int) -> "MultiPoly":
+        self._require_monomials()
         t = {}
-        for m, c in self.terms.items():
-            if m[i] > 0:
-                e = list(m)
-                e[i] -= 1
-                t[tuple(e)] = t.get(tuple(e), 0.0) + c * m[i]
-        return MultiPoly(self.n, _prune(t))
+        for (m, _, _), c in self.terms.items():
+            if i < len(m) and m[i] > 0:
+                k = (_strip(m[:i] + (m[i] - 1,) + m[i + 1:]), 0, 0)
+                t[k] = t.get(k, 0.0) + c * m[i]
+        return self._like(t)
 
     def grad_sq(self) -> "MultiPoly":
         out = MultiPoly(self.n, {})
@@ -142,47 +114,15 @@ class MultiPoly:
 
     # -- queries -----------------------------------------------------------
     @property
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    @property
     def is_even(self) -> bool:
-        return all(sum(m) % 2 == 0 for m in self.terms)
+        return all(sum(m) % 2 == 0 for m, _, _ in self.terms)
 
     def __call__(self, x) -> np.ndarray | float:
+        self._require_monomials()
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(len(pts))
-        for m, c in self.terms.items():
-            mono = np.full(len(pts), c)
-            for i, e in enumerate(m):
-                if e:
-                    mono = mono * pts[:, i] ** e
-            out += mono
+        # f(x) is the sum of the ray coefficients taken at x itself (t = 1)
+        out = self.coeffs(pts, None).sum(axis=1)
         return float(out[0]) if np.ndim(x) == 1 else out
-
-    def to_ray(self) -> gm.RayPolynomial:
-        """Radial profile: f(t u) = sum_d (sum_{|m|=d} c_m u^m) t^d."""
-        if not self.terms:
-            return gm.RayPolynomial.constant(0.0)
-        deg = self.degree
-        by_deg: dict = {}
-        for m, c in self.terms.items():
-            by_deg.setdefault(sum(m), []).append((m, c))
-
-        def cf(dirs, rho):
-            out = np.zeros((len(dirs), deg + 1))
-            for d, terms in by_deg.items():
-                acc = np.zeros(len(dirs))
-                for m, c in terms:
-                    mono = np.full(len(dirs), c)
-                    for i, e in enumerate(m):
-                        if e:
-                            mono = mono * dirs[:, i] ** e
-                    acc += mono
-                out[:, d] = acc
-            return out
-
-        return gm.RayPolynomial(deg, cf)
 
 
 def random_even_quartic(n: int, rng: np.random.Generator,
@@ -195,7 +135,7 @@ def random_even_quartic(n: int, rng: np.random.Generator,
             for i in combo:
                 e[i] += 1
             terms[tuple(e)] = float(rng.normal(0.0, scale))
-    return MultiPoly(n, _prune(terms))
+    return MultiPoly(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +462,9 @@ def brascamp_lieb_check(K: bd.SupportBody, f: MultiPoly,
             raise VerificationError("even-half mode requires a symmetric K")
     s = gm.polar_sample(K, rule)
     a = s.integral(gm.RayPolynomial.constant(1.0))
-    ef = s.integral(f.to_ray()).over(a)
-    ef2 = s.integral((f * f).to_ray()).over(a)
-    eg2 = s.integral(f.grad_sq().to_ray()).over(a)
+    ef = s.integral(f).over(a)
+    ef2 = s.integral(f * f).over(a)
+    eg2 = s.integral(f.grad_sq()).over(a)
     var = ef2.value - ef.value ** 2
     const = 0.5 if mode == "gaussian_even_half" else 1.0
     bound = const * eg2.value
@@ -547,10 +487,10 @@ def propgauss_check(K: bd.SupportBody, u: MultiPoly,
         raise VerificationError("dimension mismatch")
     s = gm.polar_sample(K, rule)
     a = s.integral(gm.RayPolynomial.constant(1.0))
-    hess = s.integral(u.hessian_frob_sq().to_ray()).over(a)
-    grad = s.integral(u.grad_sq().to_ray()).over(a)
+    hess = s.integral(u.hessian_frob_sq()).over(a)
+    grad = s.integral(u.grad_sq()).over(a)
     ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
-    lu = s.integral((u.laplacian() - u.euler()).to_ray()).over(a)
+    lu = s.integral(u.laplacian() - u.euler()).over(a)
     rhs = grad.value + lu.value ** 2 / _second_moment_margin(K.n, ex2.value)
     slack = hess.value - rhs
     err = hess.err + grad.err + 2.0 * abs(lu.value) * lu.err + ex2.err

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, emitted artifacts, config handling."""
 
+import importlib.util
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from scipy.optimize import brentq
 
 from gausscvx import cli
 from gausscvx import cylinder as cyl
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def run(argv, capsys):
@@ -247,3 +252,15 @@ class TestPlots:
         mask = (a > 0.5) & (a < 0.99)
         diff = cyl.phi_k(1, a[mask]) - cyl.phi_k(2, a[mask])
         assert int(np.sum(np.diff(np.sign(diff)) != 0)) == 1
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_loads_and_shows_help(path, capsys):
+    # a library rename that breaks a script fails here, at import or at main
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

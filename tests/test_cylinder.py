@@ -281,6 +281,17 @@ class TestPartition:
         assert a_phi == pytest.approx(PHI_CROSS_N2, abs=1e-9)
         assert a_s == pytest.approx(S_CROSS_N2, abs=1e-9)
 
+    def test_bisect_cross_evaluates_once_per_step(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 0.3
+
+        root = cyl._bisect_cross(f, 0.0, 1.0, iters=20)
+        assert len(calls) <= 21
+        assert root == pytest.approx(0.3, abs=2.0**-20)
+
     def test_mismatch_window_exists(self):
         table = cyl.partition(2)
         assert table.mismatch.any()

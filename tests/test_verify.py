@@ -60,16 +60,28 @@ class TestMultiPoly:
         assert (vf.MultiPoly.coord(2, 0) * vf.MultiPoly.coord(2, 1)).is_even
 
     def test_to_ray_matches_direct(self):
+        # ray coefficients against pointwise values, for coordinate monomials
+        # and for |x| and gauge factors on a box, where ||x||_K is not |x|/R
+        x0 = vf.MultiPoly.coord(2, 0)
         f = (vf.MultiPoly.abs_sq(2) * vf.MultiPoly.abs_sq(2)
-             + vf.MultiPoly.coord(2, 0) * vf.MultiPoly.coord(2, 1) + 2.0)
-        K = bd.ball(1.0, 2)
-        dirs = np.array([[0.6, 0.8], [1.0, 0.0]])
-        A = f.to_ray().coeffs(dirs, bd.radial(K, dirs))
+             + x0 * vf.MultiPoly.coord(2, 1) + 2.0)
+        g = (f + x0 * gm.RayPolynomial.abs_x_power(3) * 0.5
+             - gm.RayPolynomial.gauge_power(2) * 1.5
+             + x0 * gm.RayPolynomial.gauge_power(1) * gm.RayPolynomial.abs_x_power(1))
+        K = bd.box([0.6, 1.3], 2)
+        dirs = np.array([[0.6, 0.8], [1.0, 0.0], [-0.28, -0.96]])
+        rho = bd.radial(K, dirs)
+        A, B = f.coeffs(dirs, rho), g.coeffs(dirs, rho)
         for i, th in enumerate(dirs):
             for t in (0.5, 1.7):
-                direct = f(t * th)
-                ray = sum(A[i, j] * t**j for j in range(A.shape[1]))
-                assert ray == pytest.approx(direct, rel=1e-12)
+                x = t * th
+                r, gK = np.linalg.norm(x), bd.gauge(K, x)
+                direct_g = f(x) + 0.5 * x[0] * r**3 - 1.5 * gK**2 + x[0] * gK * r
+                for C, direct in ((A, f(x)), (B, direct_g)):
+                    ray = sum(C[i, j] * t**j for j in range(C.shape[1]))
+                    assert ray == pytest.approx(direct, rel=1e-12)
+        with pytest.raises(vf.VerificationError):
+            (x0 * gm.RayPolynomial.gauge_power(1)).diff(0)
 
     def test_random_even_quartic_is_even_quartic(self):
         rng = np.random.default_rng(0)
