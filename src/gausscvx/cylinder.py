@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
+from . import panels as pn
 from . import specfun as sf
 
 
@@ -225,8 +225,7 @@ def partition(n: int, grid=None) -> PartitionTable:
 # transforms
 
 
-class NumericalFailure(RuntimeError):
-    """A transform could not be resolved to its tolerance."""
+NumericalFailure = pn.NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -289,75 +288,9 @@ def _glued_radius(crossings, k_first: int, match_slope: bool) -> PiecewiseRadius
                            tuple(map(float, alphas)))
 
 
-_DEG = 32
-_THETA = np.pi * (np.arange(_DEG + 1) + 0.5) / (_DEG + 1)
-_NODES = np.cos(_THETA)
-# values at _NODES -> Chebyshev coefficients (discrete cosine transform)
-_TO_COEF = (2.0 / (_DEG + 1)) * np.cos(np.outer(np.arange(_DEG + 1), _THETA))
-_TO_COEF[0] /= 2.0
-_TOL = 1e-12
-# w at a double s is known only to about eps / (1 - s), so panels near s = 1
-# cannot resolve their tails below this floor
-_NOISE = 64.0 * np.finfo(float).eps
-_MAX_PANELS = 400
 _S_LO, _S_HI = 1e-3, 1.0 - 1e-3
 _Y_FLOOR = np.log(1e-150)
 _U_FLOOR = 1e-8
-
-
-class _Cumulative:
-    """G(x) = g0 + int_{x0}^x f on Chebyshev panels of one coordinate.
-
-    The panels start as ``edges`` (``x0`` must be one of them) and are
-    bisected until their trailing coefficients fall below ``_TOL`` of the
-    panel's scale, or below ``_NOISE / gap(lo)``, where ``gap`` maps the
-    coordinate to 1 - s.  The scale is the panel's largest value but at
-    least 1e-2, so that an integrand that vanishes on a panel (s w(s) as
-    s -> 0 when n = 1) is not resolved down to its rounding noise; W and F
-    count to absolute accuracy there, W because it enters through exp(W).
-    """
-
-    def __init__(self, f, edges, gap, x0: float, g0: float):
-        todo, panels = list(zip(edges[:-1], edges[1:])), []
-        while todo:
-            lo, hi = np.array(todo).T
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            vals = f(mid[:, None] + half[:, None] * _NODES)
-            if not np.all(np.isfinite(vals)):
-                raise NumericalFailure(
-                    f"integrand not finite on [{lo.min():g}, {hi.max():g}]")
-            coef = vals @ _TO_COEF.T
-            scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-2)
-            tol = np.maximum(_TOL, _NOISE / gap(lo)) * scale
-            ok = np.max(np.abs(coef[:, -3:]), axis=1) <= tol
-            panels += zip(lo[ok], hi[ok], coef[ok])
-            todo = [p for l, m, h in zip(lo[~ok], mid[~ok], hi[~ok])
-                    for p in ((l, m), (m, h))]
-            if len(panels) + len(todo) > _MAX_PANELS:
-                raise NumericalFailure("panel splitting ran away")
-        panels.sort(key=lambda p: p[0])
-        lo, hi, coef = (np.array(v) for v in zip(*panels))
-        self.edges = np.append(lo, hi[-1])
-        self.mid, self.half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        # antiderivative on each panel, zero at its left edge
-        self.coef = cheb.chebint(coef, lbnd=-1, axis=1) * self.half[:, None]
-        total = self.coef.sum(axis=1)  # T_k(1) = 1
-        k = int(np.searchsorted(self.edges, x0))
-        at_edge = np.empty(len(self.edges))
-        at_edge[k] = g0
-        at_edge[k + 1:] = g0 + np.cumsum(total[k:])
-        at_edge[:k] = g0 - np.cumsum(total[:k][::-1])[::-1]
-        self.base = at_edge[:-1]
-
-    def __call__(self, x):
-        i = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
-                    0, len(self.base) - 1)
-        z = (x - self.mid[i]) / self.half[i]
-        c = self.coef[i]
-        b1 = b2 = 0.0
-        for k in range(c.shape[-1] - 1, 0, -1):  # Clenshaw
-            b1, b2 = c[..., k] + 2.0 * z * b1 - b2, b1
-        return self.base[i] + c[..., 0] + z * b1 - b2
 
 
 def _open_unit(a) -> tuple[np.ndarray, bool]:
@@ -386,18 +319,18 @@ class ExpIntegralTransform:
         self.n = n = int(n)
         y_lo, x_hi = np.log(_S_LO), -np.log1p(-_S_HI)
         x_top = 53.0 * np.log(2.0)  # -log(1 - s) at the largest double s < 1
-        self._W_mid = _Cumulative(w, [_S_LO, 0.5, _S_HI], lambda s: 1.0 - s,
-                                  0.5, 0.0)
-        self._W_log = _Cumulative(lambda y: np.exp(y) * w(np.exp(y)),
-                                  [_Y_FLOOR, y_lo], lambda y: -np.expm1(y),
-                                  y_lo, self._W_mid(_S_LO))
+        self._W_mid = pn.Cumulative(w, [_S_LO, 0.5, _S_HI], 0.5, 0.0,
+                                    gap=lambda s: 1.0 - s)
+        self._W_log = pn.Cumulative(lambda y: np.exp(y) * w(np.exp(y)),
+                                    [_Y_FLOOR, y_lo], y_lo, self._W_mid(_S_LO),
+                                    gap=lambda y: -np.expm1(y))
 
         def w_tail(x):
             s = -np.expm1(-x)
             return (1.0 - s) * w(s)
 
-        self._W_tail = _Cumulative(w_tail, [x_hi, x_top], lambda x: np.exp(-x),
-                                   x_hi, self._W_mid(_S_HI))
+        self._W_tail = pn.Cumulative(w_tail, [x_hi, x_top], x_hi,
+                                     self._W_mid(_S_HI), gap=lambda x: np.exp(-x))
         # F's panels grow geometrically up to s = 1e-3, so that F keeps its
         # relative accuracy there, then start on W's
         u_lo = _S_LO ** (1.0 / n)
@@ -409,11 +342,11 @@ class ExpIntegralTransform:
             return n * np.exp(self._W(u**n) + (n - 1) * np.log(u))
 
         self._f0 = float(f_u(np.array(_U_FLOOR)))
-        self._F_u = _Cumulative(f_u, u_edges, lambda u: 1.0 - u**n,
-                                _U_FLOOR, self._f0 * _U_FLOOR)
-        self._F_tail = _Cumulative(lambda x: np.exp(self._W_tail(x) - x),
-                                   self._W_tail.edges, lambda x: np.exp(-x),
-                                   x_hi, self._F_u(u_edges[-1]))
+        self._F_u = pn.Cumulative(f_u, u_edges, _U_FLOOR, self._f0 * _U_FLOOR,
+                                  gap=lambda u: 1.0 - u**n)
+        self._F_tail = pn.Cumulative(lambda x: np.exp(self._W_tail(x) - x),
+                                     self._W_tail.edges, x_hi, self._F_u(u_edges[-1]),
+                                     gap=lambda x: np.exp(-x))
 
     def _W(self, t: np.ndarray) -> np.ndarray:
         out = np.empty(t.shape)

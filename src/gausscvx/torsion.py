@@ -9,12 +9,13 @@ integrals normalized by gamma(K); the supremum is attained at the
 Dirichlet solution of Lu = F and equals int |grad u|^2 there.
 
 On radially reducible domains (round k-cylinders, with balls and strips
-as special cases, and half-spaces) the solution integrates in closed
-quadrature:
+as special cases, and half-spaces) the solution is an integral,
 
     u'(r) = r^{1-k} e^{r^2/2} int_0^r s^{k-1} e^{-s^2/2} F(s) ds,
 
-and no general PDE solver is needed.  General symmetric bodies get lower
+and no general PDE solver is needed: the inner integral is one cumulative
+integral and the energy one definite integral, both on the adaptive
+Chebyshev panels of ``panels``.  General symmetric bodies get lower
 bounds: the in-radius test-function bound (``torsion_gauge_lower``) and
 the Rayleigh quotient of explicit gauge polynomials (``rayleigh``).
 
@@ -28,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, simpson
-from scipy.interpolate import PchipInterpolator
 
 from . import body as bd
 from . import gaussmoments as gm
+from . import panels as pn
 from . import specfun as sf
 
 _EPS = 1e-12
@@ -56,24 +56,24 @@ def torsion_radial(k: int, R: float, F, n: int | None = None,
     """T^F of the round k-cylinder of radius R, F radial on [0, R].
 
     The ambient dimension does not enter: the free coordinates integrate
-    out of both the energy and the normalization.
+    out of both the energy and the normalization.  F is called on arrays of
+    radii and may return a scalar.  A load or energy that is not finite on
+    [0, R] raises ``panels.NumericalFailure``.
     """
     if R <= 0 or k < 1:
         raise ValueError("need R > 0 and k >= 1")
+    inner = pn.Cumulative(lambda s: s ** (k - 1) * np.exp(-s * s / 2.0) * F(s),
+                          [0.0, R], 0.0, 0.0)
 
-    def inner(r: float) -> float:
-        val, err = quad(lambda s: s ** (k - 1) * np.exp(-s * s / 2.0) * F(s),
-                        0.0, r, epsabs=_EPS, epsrel=_EPS, limit=200)
-        return val
+    def energy_density(r):
+        # Chebyshev nodes are interior, so r > 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return r ** (1 - k) * np.exp(r * r / 2.0) * inner(r) ** 2
 
-    def energy_density(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        return r ** (1 - k) * np.exp(r * r / 2.0) * inner(r) ** 2
-
-    num, nerr = quad(energy_density, 0.0, R, epsabs=_EPS, epsrel=_EPS, limit=200)
+    num, nerr = pn.integrate(energy_density, inner.edges)
     den = float(sf.j_lower(k - 1, R))
     if not np.isfinite(num):
+        # finite panels whose sum overflows
         raise TorsionFailure("radial torsion quadrature did not resolve")
     return TorsionResult(num / den, (nerr + _EPS) / den, "exact_radial", F_label)
 
@@ -85,11 +85,11 @@ def torsion_halfspace(a: float) -> TorsionResult:
     b = float(sf.psi_inv(a))
     lo = min(b, 0.0) - 12.0
 
-    def density(t: float) -> float:
+    def density(t):
         # (sqrt(2pi) psi(t) e^{t^2/2})^2 e^{-t^2/2} / sqrt(2pi)
         return np.sqrt(2.0 * np.pi) * sf.psi(t) ** 2 * np.exp(t * t / 2.0)
 
-    val, err = quad(density, lo, b, epsabs=_EPS, epsrel=_EPS, limit=300)
+    val, err = pn.integrate(density, [lo, b])
     # below the cutoff the integrand is under e^{-t^2/2}/(2 pi t^2) / sqrt(2 pi)
     tail = np.exp(-lo * lo / 2.0) / (np.sqrt(2.0 * np.pi) * 2.0 * np.pi * lo * lo)
     return TorsionResult(val / a, (err + tail) / a, "halfspace", "const1")
@@ -215,6 +215,9 @@ def _monotone_interp(x: np.ndarray, y: np.ndarray):
     if len(x) < 2:
         c = y[0] if len(y) else 0.0
         return lambda q: np.full_like(np.asarray(q, dtype=float), c)
+    # only the Talenti comparison interpolates, so the CLI never imports this
+    from scipy.interpolate import PchipInterpolator
+
     spline = PchipInterpolator(x, y)
 
     def f(q):
@@ -277,11 +280,12 @@ def _grid_dirichlet_interval(w1: float, w2: float, F, n_grid: int):
     fvals = np.asarray(F(t), dtype=float) * np.ones_like(t)
     if fvals.min() < -1e-12:
         raise ValueError("source must be nonnegative")
-    G = cumulative_simpson(fvals * weight, x=t, initial=0.0)
+    h = (w1 + w2) / (n_grid - 1)
+    G = pn.cumulative_simpson(fvals * weight, h)
     growth = np.exp(t * t / 2.0)
-    C = simpson(growth * G, x=t) / simpson(growth, x=t)
+    C = pn.cumulative_simpson(growth * G, h)[-1] / pn.cumulative_simpson(growth, h)[-1]
     du = growth * (C - G)
-    u = cumulative_simpson(du, x=t, initial=0.0)
+    u = pn.cumulative_simpson(du, h)
     return t, u, float(abs(u[-1]))
 
 
@@ -319,9 +323,9 @@ def talenti_1d(w1: float, w2: float, F, extrema=(), n_report: int = 41,
         np.clip(np.asarray(sf.psi(s)), 0.0, a))
 
     f_star, _ = ehrhard_rearrange_1d(F, w1, w2, extrema=extrema)
-    H = cumulative_simpson(np.asarray(f_star(s)) * np.exp(-s * s / 2.0),
-                           x=s, initial=0.0)
-    S = cumulative_simpson(np.exp(s * s / 2.0) * H, x=s, initial=0.0)
+    h = (beta - lo) / (n_grid - 1)
+    H = pn.cumulative_simpson(np.asarray(f_star(s)) * np.exp(-s * s / 2.0), h)
+    S = pn.cumulative_simpson(np.exp(s * s / 2.0) * H, h)
     v = S[-1] - S
 
     keep = s >= min(beta, 0.0) - 8.0

@@ -18,6 +18,7 @@ import numpy as np
 from . import body as bd
 from . import cylinder as cyl
 from . import gaussmoments as gm
+from . import panels as pn
 from . import specfun as sf
 from . import torsion as tor
 
@@ -575,9 +576,9 @@ def moment_inequality_suite(K: bd.SupportBody,
 def alpha_halfspace(a: float) -> dict:
     """alpha of a half-space of measure a by two independent routes.
 
-    Route 1 integrates the truncated one-dimensional moments; route 2 is
-    the closed form -sqrt(2 pi) a b exp(b^2/2) with b the measure quantile
-    (equivalently -eta(a)).  The moment combination entering alpha reduces
+    Route 1 integrates the truncated one-dimensional moments on Chebyshev
+    panels; route 2 is the closed form -sqrt(2 pi) a b exp(b^2/2) with b
+    the measure quantile (equivalently -eta(a)).  The moment combination entering alpha reduces
     to m4 - 3 m2 over (1 - m2)^2 in the ambient-free normal form, so the
     result is dimension-independent.
 
@@ -585,8 +586,6 @@ def alpha_halfspace(a: float) -> dict:
     is a removable singularity); the quadrature route is ill-conditioned
     in a neighbourhood of it and is refused rather than patched.
     """
-    from scipy import integrate
-
     if not 0.0 < a < 1.0:
         raise VerificationError("need 0 < a < 1")
     b = float(sf.psi_inv(a))
@@ -596,9 +595,8 @@ def alpha_halfspace(a: float) -> dict:
     lo = b - 16.0
 
     def moment(j):
-        val, _ = integrate.quad(
-            lambda t: t**j * np.exp(-t * t / 2.0) / np.sqrt(2.0 * np.pi),
-            lo, b, epsabs=1e-14, epsrel=1e-13, limit=200)
+        val, _ = pn.integrate(
+            lambda t: t**j * np.exp(-t * t / 2.0) / np.sqrt(2.0 * np.pi), [lo, b])
         return val
 
     mass = moment(0)

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -96,6 +99,34 @@ class TestTorsionCommand:
         assert code == 0
         rep = json.loads(out)
         assert rep["kind"] == "exact_radial"
+
+    def test_overflowing_energy_is_numerical_failure(self, capsys, tmp_path):
+        # e^{r^2/2} overflows below R = 40: not a usage error
+        code, _, err = run(["torsion", "--n", "2", "--body", "ball:R=40",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 3
+        assert "numerical failure" in err
+
+    def test_torsion_commands_leave_scipy_quadrature_unimported(self, tmp_path):
+        # a fresh interpreter, so that no other test's imports count
+        script = f"""
+import contextlib, io, sys
+from gausscvx import cli
+for argv in (["torsion", "--halfspace", "0.5"],
+             ["verify", "--check", "saint-venant", "--n", "2", "--body", "ball:R=1.0"],
+             ["verify", "--check", "alpha-halfspace"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0, argv
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "interpolate"])))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestVerifyCommand:

@@ -5,6 +5,7 @@ import pytest
 
 from gausscvx import body as bd
 from gausscvx import gaussmoments as gm
+from gausscvx import panels as pn
 from gausscvx import specfun as sf
 from gausscvx import torsion as tor
 
@@ -58,6 +59,20 @@ class TestRadial:
         with pytest.raises(ValueError):
             tor.torsion_radial(2, -1.0, ONES)
 
+    def test_scalar_load_equals_array_load(self):
+        # F may return a Python scalar for an array of radii
+        for k, R in [(1, 0.5), (2, 1.3), (3, 0.8)]:
+            scalar = tor.torsion_radial(k, R, ONES)
+            array = tor.torsion_radial(k, R, lambda r: np.ones_like(r))
+            assert scalar == array
+
+    @pytest.mark.parametrize("F,R", [(lambda r: np.where(r < 0.5, 1.0, np.nan), 1.0),
+                                     (ONES, 40.0)])
+    def test_non_finite_integrand_is_numerical_failure(self, F, R):
+        # a NaN load, and an energy density that overflows (e^{r^2/2}, r -> 40)
+        with pytest.raises((pn.NumericalFailure, tor.TorsionFailure)):
+            tor.torsion_radial(2, R, F)
+
 
 class TestHalfspace:
     def test_frozen_values(self):
@@ -68,6 +83,10 @@ class TestHalfspace:
     def test_half_measure_is_log_two(self):
         assert tor.torsion_halfspace(0.5).value == pytest.approx(np.log(2.0),
                                                                  rel=1e-11)
+
+    def test_error_estimate_covers_log_two(self):
+        res = tor.torsion_halfspace(0.5)
+        assert res.err >= abs(res.value - np.log(2.0))
 
     def test_collocation_oracle(self):
         for a in (0.3, 0.65, 0.9):
