@@ -8,9 +8,6 @@ one-call definite integral; both report ``err``, the sum over the panels of
 their width times their three trailing coefficient magnitudes, which bounds
 the error of the integrated interpolant when the coefficients keep
 decaying.
-
-``cumulative_simpson`` is the composite Simpson rule on a uniform grid, for
-integrands known only at grid points.
 """
 
 from __future__ import annotations
@@ -41,9 +38,9 @@ class Cumulative:
 
     ``f`` is vectorized.  The panels start as ``edges`` (``x0`` must be one
     of them) and are bisected until their trailing coefficients fall below
-    ``_TOL`` of the panel's scale, or below ``_NOISE / gap(lo)`` of it when
-    ``gap`` maps the coordinate to the distance 1 - s at which the
-    integrand loses accuracy (``_NOISE`` without it).  The scale is the
+    ``_TOL`` of the panel's scale, or below ``_NOISE / gap(lo)`` of it if
+    that is larger, when ``gap`` maps the coordinate to the distance 1 - s
+    at which the integrand loses accuracy.  The scale is the
     panel's largest value but at least 1e-2, so that an integrand that
     vanishes on a panel is not resolved down to its rounding noise: such
     panels count to absolute accuracy.  A non-finite value or more than
@@ -62,9 +59,9 @@ class Cumulative:
                     f"integrand not finite on [{lo.min():g}, {hi.max():g}]")
             coef = vals @ _TO_COEF.T
             scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-2)
-            noise = _NOISE if gap is None else _NOISE / gap(lo)
+            tol = _TOL if gap is None else np.maximum(_TOL, _NOISE / gap(lo))
             tail = np.abs(coef[:, -3:])
-            ok = np.max(tail, axis=1) <= np.maximum(_TOL, noise) * scale
+            ok = np.max(tail, axis=1) <= tol * scale
             panels += zip(lo[ok], hi[ok], coef[ok], tail[ok].sum(axis=1))
             todo = [p for l, m, h in zip(lo[~ok], mid[~ok], hi[~ok])
                     for p in ((l, m), (m, h))]
@@ -97,26 +94,8 @@ class Cumulative:
         return self.base[i] + c[..., 0] + z * b1 - b2
 
 
-def integrate(f, edges, gap=None) -> tuple[float, float]:
+def integrate(f, edges) -> tuple[float, float]:
     """(int f over [edges[0], edges[-1]], err) on ``Cumulative``'s panels."""
-    G = Cumulative(f, edges, edges[0], 0.0, gap)
+    G = Cumulative(f, edges, edges[0], 0.0)
     return G.last, G.err
 
-
-def cumulative_simpson(y, h: float) -> np.ndarray:
-    """Cumulative composite Simpson integral of samples y at spacing h.
-
-    Starts at 0.  Interval i takes the quadratic through its two points and
-    the next one when i is even, the previous one when i is odd and for the
-    last interval, so over each pair of intervals it is Simpson's rule.
-    """
-    y = np.asarray(y, dtype=float)
-    # the quadratic through y[i], y[i+1], y[i+2] on [x_i, x_{i+1}] and on
-    # [x_{i+1}, x_{i+2}]
-    first = h / 12.0 * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:])
-    second = h / 12.0 * (-y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:])
-    pieces = np.empty(len(y) - 1)
-    pieces[:-1:2] = first[::2]
-    pieces[1::2] = second[::2]
-    pieces[-1] = second[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))

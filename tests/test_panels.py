@@ -1,8 +1,7 @@
-"""Chebyshev panels and grid Simpson: values and error estimates vs closed forms."""
+"""Chebyshev panels: values and error estimates vs closed forms."""
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson, simpson
 
 from gausscvx import panels as pn
 from gausscvx import specfun as sf
@@ -41,14 +40,3 @@ class TestCumulative:
         x = np.linspace(0.0, 3.0, 31)
         assert np.max(np.abs(G(x) - (0.25 + np.sin(x) - np.sin(1.0)))) <= G.err
 
-
-class TestGridSimpson:
-    @pytest.mark.parametrize("n_grid", [3, 4, 11, 200, 2001])
-    def test_matches_scipy(self, n_grid):
-        t = np.linspace(-1.5, 2.0, n_grid)
-        y = np.exp(t) * np.cos(3.0 * t)
-        h = 3.5 / (n_grid - 1)
-        got = pn.cumulative_simpson(y, h)
-        np.testing.assert_allclose(got, cumulative_simpson(y, dx=h, initial=0.0),
-                                   rtol=1e-13, atol=1e-15)
-        assert got[-1] == pytest.approx(simpson(y, dx=h), rel=1e-13, abs=1e-15)
