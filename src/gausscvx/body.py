@@ -15,11 +15,18 @@ Closed interpolation rules (support sums):
   (1-l) C_j(R1) + l C_k(R2) = C_min(j,k)((1-l) R1 + l R2);
 - boxes combine componentwise;
 - box + ball (or box + cylinder) gives a rounded box
-  {x : ||(|x_act| - b)_+||_2 <= s}, whose radial solves a monotone
-  scalar equation per direction;
+  {x : ||(|x_act| - b)_+||_2 <= s}; along a direction, ||(t|theta_act| -
+  b)_+||^2 is a piecewise quadratic in t with breakpoints b_i/|theta_i|,
+  so its radial is the larger root on the segment where it reaches s^2;
 - proportional ellipsoids rescale componentwise.
 
 Everything else falls back to the generic support oracle.
+
+A translate K + v has sup{t >= 0 : ||t theta - v||_K <= 1} as its radial
+(the exit time of the ray when the origin is inside): the larger root of a
+quadratic for ball, strip, cylinder and ellipsoid cores, the first slab
+exit for a box, and secant steps from the right on the convex gauge for
+other cores.
 """
 
 from __future__ import annotations
@@ -200,26 +207,31 @@ def _round_box(b: np.ndarray, s: float, active: np.ndarray, n: int) -> SupportBo
         return np.where(np.asarray(tail) <= 1e-12, head, np.inf)
 
     def rad(t):
-        tt = np.atleast_2d(t)
-        th = np.abs(tt[:, act])
-        hn = np.linalg.norm(th, axis=1)
-        out = np.full(len(tt), np.inf)
-        ok = hn > 1e-300
-        if not np.any(ok):
-            return out
-        th = th[ok]
-        # dist(t*th, box(b)) = s is monotone in t past the box; bisect
-        lo = np.zeros(th.shape[0])
-        hi = np.full(th.shape[0], (np.max(b) + s + 1.0))
-        d = lambda t: np.linalg.norm(np.maximum(t[:, None] * th - b, 0.0), axis=1) - s
-        while np.any(d(hi) < 0):
-            hi = np.where(d(hi) < 0, hi * 2.0, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = d(mid) < 0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[ok] = 0.5 * (lo + hi)
+        # f(t) = ||(t a - b)_+||^2 with a = |theta_act| is the quadratic
+        # A t^2 - 2 B t + C between consecutive breakpoints b_i / a_i, with
+        # A, B, C summed over the coordinates already past their breakpoint;
+        # zero components never become active
+        a = np.abs(np.atleast_2d(t)[:, act])
+        with np.errstate(divide="ignore"):
+            tau = np.where(a > 0, b / a, np.inf)
+        order = np.argsort(tau, axis=1, kind="stable")
+        tau = np.take_along_axis(tau, order, axis=1)
+        a = np.take_along_axis(a, order, axis=1)
+        bs = b[order]
+        A = np.cumsum(a * a, axis=1)
+        B = np.cumsum(a * bs, axis=1)
+        C = np.cumsum(bs * bs, axis=1)
+        with np.errstate(invalid="ignore"):
+            f_tau = (A * tau - 2.0 * B) * tau + C
+        # f is nondecreasing, so the root lies on the segment after the
+        # last breakpoint where f < s^2
+        k = np.sum(f_tau < s * s, axis=1)
+        out = np.full(len(a), np.inf)
+        ok = k > 0
+        if np.any(ok):
+            j = (k[ok] - 1)[:, None]
+            A, B, C = (np.take_along_axis(x[ok], j, axis=1)[:, 0] for x in (A, B, C))
+            out[ok] = (B + np.sqrt(np.maximum(B * B - A * (C - s * s), 0.0))) / A
         return out
 
     inr = float(np.min(b) + s)
@@ -231,6 +243,11 @@ def _round_box(b: np.ndarray, s: float, active: np.ndarray, n: int) -> SupportBo
 
 
 def translate(body: SupportBody, v) -> SupportBody:
+    """K + v for an unshifted K.  Its radial is sup{t >= 0 : t theta in
+    K + v}: the exit time of the ray when -v is interior to K.  Otherwise
+    the origin lies outside K + v, the rays that miss it have radial 0,
+    and polar integrals measure the star hull of the origin and K + v,
+    not K + v; the body grammar refuses such shifts."""
     v = np.asarray(v, dtype=float)
     if v.shape != (body.n,):
         raise BodyError("shift dimension mismatch")
@@ -242,47 +259,108 @@ def translate(body: SupportBody, v) -> SupportBody:
         uu = np.atleast_2d(u)
         return base_support(uu) + uu @ v
 
-    rad = None
-    if body.exact_radial is not None:
-        core = body.exact_radial
-
-        def rad(t):
-            tt = np.atleast_2d(t)
-            # exit time of the ray t*theta from the shifted body: gauge of
-            # t*theta - v in the core equals 1; monotone in t since 0 is interior
-            def gauge_minus_one(t_arr):
-                x = t_arr[:, None] * tt - v
-                r = np.linalg.norm(x, axis=1)
-                rho = core(np.where(r[:, None] > 0, x / np.maximum(r[:, None], 1e-300), tt))
-                with np.errstate(invalid="ignore"):
-                    return np.where(r > 0, r / rho, 0.0) - 1.0
-
-            lo = np.zeros(len(tt))
-            hi = np.full(len(tt), 1.0)
-            g = gauge_minus_one(hi)
-            for _ in range(60):
-                grow = (g < 0) & (hi < 1e12)
-                if not np.any(grow):
-                    break
-                hi = np.where(grow, hi * 2.0, hi)
-                g = gauge_minus_one(hi)
-            # rays that never exit (free directions of an unbounded core)
-            inf_mask = gauge_minus_one(np.full(len(tt), 1e12)) < 0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                below = gauge_minus_one(mid) < 0
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            out = 0.5 * (lo + hi)
-            out[inf_mask] = np.inf
-            return out
-
     return SupportBody(
         n=body.n, support=support, symmetric=False, shift=v,
-        exact_radial=rad, exact_inradius=None,
+        exact_radial=_translate_radial(body, v), exact_inradius=None,
         label=f"translate({body.label},v={np.round(v,6).tolist()})",
         kind="translate", params=(body,) + tuple(v),
     )
+
+
+def _translate_radial(body: SupportBody, v: np.ndarray):
+    """sup{t >= 0 : ||t theta - v||_K <= 1} row-wise, +inf along rays that
+    never leave (None when K has no exact radial)."""
+    if body.kind in ("cylinder", "ellipsoid"):
+        if body.kind == "cylinder":
+            k, R = body.params
+            w = np.where(np.arange(body.n) < k, 1.0 / (R * R), 0.0)
+        else:
+            w = 1.0 / np.asarray(body.params) ** 2
+        C = np.sum(w * v * v) - 1.0
+
+        def rad(t):
+            # larger root of A t^2 - 2 B t + C = 0, in the form free of
+            # cancellation for the sign of B.  With the origin inside
+            # (C < 0) it is positive, and +inf when A = 0 (then B = 0);
+            # otherwise the ray misses unless the root is real and positive
+            tt = np.atleast_2d(t)
+            A = (tt * tt) @ w
+            B = tt @ (w * v)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                D = np.sqrt(B * B - A * C)
+                root = np.where(B > 0, (B + D) / A, -C / (D - B))
+            return np.where(root > 0, root, 0.0)
+
+        return rad
+    if body.kind == "box":
+        a = np.asarray(body.params)
+
+        def rad(t):
+            # the ray crosses each slab |x_i - v_i| <= a_i on one interval;
+            # it leaves the box through the first exit, if after every entry
+            tt = np.atleast_2d(t)
+            at = np.maximum(np.abs(tt), 1e-300)
+            sv = np.sign(tt) * v
+            parallel = np.where(np.abs(v) <= a, np.inf, -np.inf)
+            exits = np.min(np.where(tt != 0, (a + sv) / at, parallel), axis=1)
+            entries = np.max(np.where(tt != 0, (sv - a) / at, -np.inf), axis=1)
+            return np.where(exits >= np.maximum(entries, 0.0), exits, 0.0)
+
+        return rad
+    if body.exact_radial is None:
+        return None
+    core = body.exact_radial
+    inside = gauge(body, -v) < 1.0
+    # by the gauge's triangle inequality the ray is outside K + v from
+    # t = rho(theta) (1 + ||v||) on; where rho(theta) = +inf the ray runs
+    # along a line in K, and the gauge of t theta - v is constant
+    reach = 1.0 + gauge(body, v)
+
+    def rad(t):
+        tt = np.atleast_2d(t)
+        rho = np.asarray(core(tt), dtype=float)
+        out = np.full(len(tt), np.inf if inside else 0.0)
+        fin = np.isfinite(rho)
+        rays = tt[fin]
+
+        def gauge_minus_one(rows, t_arr):
+            x = t_arr[:, None] * rays[rows] - v
+            r = np.linalg.norm(x, axis=1)[:, None]
+            dirs = np.where(r > 0, x / np.maximum(r, 1e-300), rays[rows])
+            return r[:, 0] / np.asarray(core(dirs), dtype=float) - 1.0
+
+        hi = reach * rho[fin]
+        out[fin] = _last_root(gauge_minus_one, 2.0 * hi, hi)
+        return out
+
+    return rad
+
+
+def _last_root(f, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Row-wise largest root of a convex f(rows, t), from points t0 > t1
+    with f >= 0 at or right of the root.  Secant steps from the right of a
+    convex function decrease monotonically to that root.  A row stops when
+    its step is a few ulps, or when f is at rounding level and the steps
+    no longer shrink; it gets 0 when no root is positive (the slope turns
+    nonpositive, or the step leaves t > 0, with f above rounding level)."""
+    tol = 4.0 * np.finfo(float).eps
+    rows = np.arange(len(t0))
+    f0, f1 = f(rows, t0), f(rows, t1)
+    out = np.zeros(len(t0))
+    while len(rows):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t2 = t1 - f1 * (t0 - t1) / (f0 - f1)
+        step_ok = ((f0 - f1) * (t0 - t1) > 0) & (t2 > 0)
+        step = np.abs(t2 - t1)
+        converged = step_ok & (step <= tol * t1)
+        stalled = (f1 == 0) | ((np.abs(f1) <= 16.0 * tol)
+                               & (~step_ok | (step >= np.abs(t1 - t0))))
+        out[rows[converged]] = t2[converged]
+        out[rows[stalled]] = t1[stalled]
+        more = step_ok & ~converged & ~stalled
+        rows, t0, f0, t1 = rows[more], t1[more], f1[more], t2[more]
+        f1 = f(rows, t1)
+    return out
 
 
 def catalog(name: str, n: int, **params) -> SupportBody:
@@ -412,8 +490,7 @@ def _refine_seed(body: SupportBody, theta: np.ndarray, u0: np.ndarray, delta: fl
     u = u0.copy()
     best = quotient(u)
     for _ in range(3):
-        basis = _tangent_basis(u)
-        for d in basis:
+        for d in tangent_bases(u[None, :])[0]:
             f = lambda s: quotient(_norm(u + s * d))
             _, s_best = _golden_refine(f, -delta, delta, iters=30)
             u = _norm(u + s_best * d)
@@ -426,19 +503,24 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _tangent_basis(u: np.ndarray) -> list[np.ndarray]:
-    n = len(u)
-    e = np.eye(n)
-    cand = [e[i] for i in np.argsort(np.abs(u))[: n - 1]]
-    basis = []
-    for c in cand:
-        w = c - (c @ u) * u
-        for b in basis:
-            w = w - (w @ b) * b
-        nw = np.linalg.norm(w)
-        if nw > 1e-10:
-            basis.append(w / nw)
-    return basis
+def tangent_bases(u: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the tangent spaces at the unit rows of the
+    (m, n) array u, as an (m, n-1, n) array: the n-1 axes with the
+    smallest |u_i| (stable order), Gram-Schmidt against u and the earlier
+    vectors.  The left-out axis carries |u_i| >= 1/sqrt(n), so no vector
+    degenerates."""
+    m, n = u.shape
+    axes = np.argsort(np.abs(u), axis=1, kind="stable")[:, : n - 1]
+    rows = np.arange(m)
+    out = np.empty((m, n - 1, n))
+    for j in range(n - 1):
+        i = axes[:, j]
+        w = -u[rows, i][:, None] * u
+        w[rows, i] += 1.0
+        for k in range(j):
+            w -= np.sum(w * out[:, k], axis=1)[:, None] * out[:, k]
+        out[:, j] = w / np.linalg.norm(w, axis=1)[:, None]
+    return out
 
 
 def gauge(body: SupportBody, x) -> np.ndarray | float:
@@ -617,7 +699,11 @@ def parse_body(text: str, n: int) -> SupportBody:
     if text.startswith("translate:"):
         head, rest = text.split(";", 1)
         v = [float(x) for x in head.split("v=", 1)[1].split("+")]
-        return translate(parse_body(rest, n), v)
+        K = parse_body(rest, n)
+        T = translate(K, v)
+        if gauge(K, -T.shift) >= 1.0:
+            raise BodyError("translate needs the origin inside the shifted body")
+        return T
     if ":" not in text:
         raise BodyError(f"malformed body string {text!r}")
     name, params_text = text.split(":", 1)

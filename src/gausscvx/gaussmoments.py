@@ -165,7 +165,8 @@ class RayPolynomial:
         at the directions theta = dirs, where rho is K's radial function.
 
         A term adds c theta^m rho^-g to column |m| + a + g; rho^-g is 0 on
-        rays that never leave K.
+        rays that never leave K, and on the empty rays (rho = 0) of a
+        translate whose origin lies outside it.
         """
         out = np.zeros((len(dirs), self.degree + 1))
         for (m, a, g), c in self.terms.items():
@@ -174,7 +175,7 @@ class RayPolynomial:
                 if e:
                     col = col * dirs[:, i] ** e
             if g:
-                col = col / rho**g
+                col = np.divide(col, rho**g, out=np.zeros_like(col), where=rho > 0)
             out[:, sum(m) + a + g] += col
         return out
 

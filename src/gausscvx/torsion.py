@@ -175,7 +175,7 @@ def _gauge_slope_sq(K: bd.SupportBody, pts: np.ndarray, rho: np.ndarray, h: floa
     q = _inverse_radial(rho)
     if K.n == 1:
         return q, np.zeros_like(q)
-    tangents = np.array([bd._tangent_basis(p) for p in pts])
+    tangents = bd.tangent_bases(pts)
     grad2 = np.zeros(len(pts))
     for axis in range(K.n - 1):
         plus = pts + h * tangents[:, axis]

@@ -126,6 +126,87 @@ def mc_gauss_prob(kind: str, params, n: int, N: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
+# radial references by bisection, and the per-direction tangent basis: the
+# constructions the package's closed forms and vectorized pass replaced
+
+
+def round_box_radial_bisect(b, s: float, active, theta: np.ndarray) -> np.ndarray:
+    """Radial of {x : ||(|x_act| - b)_+|| <= s}: 80 bisection steps on the
+    distance from t|theta_act| to the box [0, b], +inf without an active
+    component."""
+    b = np.asarray(b, dtype=float)
+    th = np.abs(np.atleast_2d(theta)[:, np.asarray(active, dtype=bool)])
+    hn = np.linalg.norm(th, axis=1)
+    out = np.full(len(th), np.inf)
+    ok = hn > 1e-300
+    if not np.any(ok):
+        return out
+    th = th[ok]
+    lo = np.zeros(len(th))
+    hi = np.full(len(th), np.max(b) + s + 1.0)
+    d = lambda t: np.linalg.norm(np.maximum(t[:, None] * th - b, 0.0), axis=1) - s
+    while np.any(d(hi) < 0):
+        hi = np.where(d(hi) < 0, hi * 2.0, hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = d(mid) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out[ok] = 0.5 * (lo + hi)
+    return out
+
+
+def translate_radial_bisect(core_radial, v, theta: np.ndarray) -> np.ndarray:
+    """Exit time of t*theta from K + v given K's radial: doubling to a
+    bracket (up to 1e12, beyond which the ray never exits), then 80
+    bisection steps on ||t theta - v||_K - 1."""
+    tt = np.atleast_2d(theta)
+    v = np.asarray(v, dtype=float)
+
+    def gauge_minus_one(t_arr):
+        x = t_arr[:, None] * tt - v
+        r = np.linalg.norm(x, axis=1)
+        rho = core_radial(np.where(r[:, None] > 0, x / np.maximum(r[:, None], 1e-300), tt))
+        with np.errstate(invalid="ignore"):
+            return np.where(r > 0, r / rho, 0.0) - 1.0
+
+    lo = np.zeros(len(tt))
+    hi = np.ones(len(tt))
+    g = gauge_minus_one(hi)
+    for _ in range(60):
+        grow = (g < 0) & (hi < 1e12)
+        if not np.any(grow):
+            break
+        hi = np.where(grow, hi * 2.0, hi)
+        g = gauge_minus_one(hi)
+    inf_mask = gauge_minus_one(np.full(len(tt), 1e12)) < 0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = gauge_minus_one(mid) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = 0.5 * (lo + hi)
+    out[inf_mask] = np.inf
+    return out
+
+
+def tangent_basis_row(u: np.ndarray) -> list:
+    """Tangent basis at one unit direction: the n-1 axes with the smallest
+    |u_i|, Gram-Schmidt against u and the earlier vectors."""
+    n = len(u)
+    e = np.eye(n)
+    basis = []
+    for c in [e[i] for i in np.argsort(np.abs(u), kind="stable")[: n - 1]]:
+        w = c - (c @ u) * u
+        for b in basis:
+            w = w - (w @ b) * b
+        nw = np.linalg.norm(w)
+        if nw > 1e-10:
+            basis.append(w / nw)
+    return basis
+
+
+# ---------------------------------------------------------------------------
 # torsion boundary-value oracles (collocation, not the integral formulas)
 
 

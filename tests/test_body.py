@@ -223,6 +223,136 @@ class TestInterpolation:
         assert np.isinf(bd.radial(K, th[1][None, :])[0]) or r[1] > r[0]
 
 
+def _probe_directions(n: int, seed: int) -> np.ndarray:
+    """Random unit directions, the signed axes, and every 29th direction of
+    the default grid."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(64, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    e = np.eye(n)
+    return np.vstack([x, e, -e, bd.direction_grid(n)[::29]])
+
+
+def _assert_radials_agree(got, want):
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    np.testing.assert_allclose(got[fin], want[fin], rtol=1e-14, atol=0)
+
+
+def _round_boxes(n: int) -> list:
+    """One rounded box from each closed interpolation rule that makes one."""
+    box = bd.box(np.linspace(0.6, 1.2, n), n)
+    full = bd.interpolate(box, bd.ball(1.1, n), 0.4)            # box + ball
+    free = bd.interpolate(box, bd.cylinder(n - 1, 0.9, n), 0.3)  # box + cylinder
+    return [
+        full, free,
+        bd.interpolate(box, bd.strip(0.8, n), 0.7),
+        bd.interpolate(bd.cylinder(n - 1, 1.3, n), free, 0.5),   # cylinder + roundbox
+        bd.interpolate(box, full, 0.25),                         # box + roundbox
+        bd.interpolate(full, bd.interpolate(box, bd.ball(0.7, n), 0.8), 0.6),
+        bd.interpolate(bd.box(np.full(n, 0.9), n), bd.ball(0.1, n), 0.5),  # small s
+        bd.dilate(free, 1.7),
+    ]
+
+
+def _shift(K, frac: float, u) -> np.ndarray:
+    """The shift along u with ||v||_K = frac."""
+    u = _unit(u)
+    return frac * bd.radial(K, u[None, :])[0] * u
+
+
+class TestExactRadials:
+    """Closed-form rounded-box and translate radials against the bisections
+    they replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_round_box_matches_bisection(self, n):
+        th = _probe_directions(n, n)
+        # with free coordinates: directions with zero active components
+        # (+inf), and with only some active components nonzero
+        zero_act = np.zeros((2, n))
+        zero_act[:, -1] = [1.0, -1.0]
+        some_act = np.zeros((1, n))
+        some_act[0, [0, -1]] = _unit([1.0, 2.0])
+        th = np.vstack([th, zero_act, some_act])
+        for K in _round_boxes(n):
+            assert K.kind == "roundbox", K.label
+            b, s, act = K.params
+            got = bd.radial(K, th)
+            _assert_radials_agree(got, oracles.round_box_radial_bisect(b, s, act, th))
+            assert np.all(np.isinf(got[-3:-1])) == (not all(act)), K.label
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_translate_matches_bisection(self, n):
+        th = _probe_directions(n, 10 + n)
+        cores = [bd.ball(1.1, n), bd.strip(0.8, n), bd.cylinder(max(1, n - 1), 0.9, n),
+                 bd.ellipsoid(np.linspace(0.7, 1.5, n), n),
+                 bd.box(np.linspace(0.6, 1.2, n), n),
+                 bd.lp_ball(1.2, 3.0, n), bd.lp_ball(1.3, 1.5, n), bd.lp_ball(1.0, 1.0, n),
+                 *_round_boxes(n)[:2]]
+        rng = np.random.default_rng(n)
+        for K in cores:
+            for frac in (0.3, 0.6, 0.85):
+                for u in (np.eye(n)[0], rng.normal(size=n)):
+                    v = _shift(K, frac, u)
+                    got = bd.radial(bd.translate(K, v), th)
+                    _assert_radials_agree(
+                        got, oracles.translate_radial_bisect(K.exact_radial, v, th))
+
+    def test_free_directions_of_unbounded_cores_never_exit(self):
+        th = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        for K in (bd.strip(0.8, 3), bd.cylinder(2, 0.9, 3),
+                  bd.interpolate(bd.box([0.6, 0.8, 1.0], 3), bd.cylinder(2, 0.9, 3), 0.3)):
+            T = bd.translate(K, _shift(K, 0.5, [1.0, 1.0, 0.0]))
+            assert np.all(np.isinf(bd.radial(T, th))), K.label
+
+    @pytest.mark.parametrize("core", [
+        lambda: bd.ball(1.0, 2),
+        lambda: bd.lp_ball(1.0, 2.0, 2),   # the same disc through the secant path
+    ])
+    def test_translate_radial_is_sup_of_ray_in_body(self, core):
+        # unit disc shifted to (c, 0): along angle a the ray is inside for
+        # t^2 - 2 c cos(a) t + c^2 - 1 <= 0, so the radial is the larger
+        # root, or 0 where the ray misses the disc (origin outside, c > 1)
+        K = core()
+        a = np.linspace(-np.pi, np.pi, 181)
+        th = np.column_stack([np.cos(a), np.sin(a)])
+        for c in (0.4, 0.9, 2.0):
+            disc = c * c * np.cos(a) ** 2 - (c * c - 1.0)
+            hits = disc >= 0
+            with np.errstate(invalid="ignore"):
+                root = c * np.cos(a) + np.sqrt(disc)
+            want = np.where(hits & (root > 0), root, 0.0)
+            got = bd.radial(bd.translate(K, [c, 0.0]), th)
+            clear = np.abs(disc) > 1e-9   # away from tangent rays
+            np.testing.assert_allclose(got[clear], want[clear], rtol=1e-13, atol=1e-15)
+
+    def test_box_translate_misses_outside(self):
+        T = bd.translate(bd.box([0.5, 0.5], 2), [1.0, 0.0])
+        got = bd.radial(T, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], _unit([1.0, 0.4])]))
+        np.testing.assert_allclose(got, [1.5, 0.0, 0.0, np.hypot(1.25, 0.5)], rtol=1e-15)
+
+
+class TestTangentBases:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_orthonormal_tangent_and_equal_to_rowwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        u = rng.normal(size=(200, n))
+        e = np.eye(n)
+        ties = np.ones((1, n))
+        ties[0, -1] = 0.0
+        u = np.vstack([u, e, -e, ties, np.ones((1, n))])
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        T = bd.tangent_bases(u)
+        assert T.shape == (len(u), n - 1, n)
+        gram = np.einsum("mij,mkj->mik", T, T)
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(n - 1), gram.shape),
+                                   atol=1e-15)
+        np.testing.assert_allclose(np.einsum("mij,mj->mi", T, u), 0.0, atol=1e-15)
+        want = np.array([oracles.tangent_basis_row(x) for x in u])
+        np.testing.assert_allclose(T, want, rtol=0, atol=1e-15)
+
+
 class TestParsing:
     @pytest.mark.parametrize("text,maker", [
         ("ball:R=1.25", lambda: bd.ball(1.25, 2)),
@@ -270,6 +400,12 @@ class TestParsing:
         K = bd.parse_body("translate:v=0.3+0;ball:R=1", 2)
         assert K.shifted
         assert bd.gauge(K, np.array([1.3, 0.0])) == pytest.approx(1.0, abs=1e-9)
+
+    def test_translate_leaving_origin_outside_is_refused(self):
+        for text in ("translate:v=2+0;ball:R=1", "translate:v=1+0;ball:R=1",
+                     "translate:v=0+0.9;box:a=1+0.8"):
+            with pytest.raises(bd.BodyError, match="origin"):
+                bd.parse_body(text, 2)
 
     def test_errors(self):
         with pytest.raises(bd.BodyError):

@@ -218,6 +218,15 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
+    def test_translate_leaving_origin_outside(self, capsys, tmp_path):
+        # ball:R=1 shifted by 2 does not contain the origin; its polar
+        # measure would be that of a different set
+        code, out, err = run(["measure", "--n", "2", "--body",
+                              "translate:v=2+0;ball:R=1",
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "origin" in err and out == ""
+
     def test_unsupported_dimension(self, capsys, tmp_path):
         code, _, err = run(["measure", "--n", "5", "--out-dir", str(tmp_path)],
                            capsys)
