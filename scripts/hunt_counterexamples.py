@@ -12,7 +12,6 @@ import argparse
 import json
 from pathlib import Path
 
-from gausscvx import cli
 from gausscvx import verify as vf
 
 SEARCH_TRANSFORMS = ("psi_inv", "phi_inv", "bad_func")
@@ -20,7 +19,7 @@ SEARCH_TRANSFORMS = ("psi_inv", "phi_inv", "bad_func")
 
 def hunt(transform: str, n: int, n_t: int) -> dict:
     family_key = transform if transform in ("phi_inv", "bad_func") else "phi_inv"
-    fam = cli._counterexample_family(cli.RunConfig(n=n), family_key)
+    fam = vf.counterexample_family(n, family_key)
     out = vf.counterexample_search(transform, fam, n_t=n_t)
     rec = {
         "transform": transform,

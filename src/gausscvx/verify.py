@@ -639,6 +639,36 @@ def s_inequality_check(K: bd.SupportBody, ts=(1.0, 1.2, 1.5, 2.0, 3.0),
 # counterexample searches
 
 
+def counterexample_family(n: int, transform: str) -> list:
+    """The scripted (K, L) pairs a counterexample search over ``transform``
+    scans in R^n.
+
+    ``phi_inv`` gets strip/ball, ball/ball and strip/strip pairs over a
+    geometric range of widths and radii.  Any other transform gets a
+    cylinder pair straddling the measures where the phi_k and s_k argmins
+    of ``cyl.partition(n)`` disagree, then a ball pair.
+    """
+    if transform == "phi_inv":
+        ws = np.geomspace(0.2, 2.0, 4)
+        rs = np.geomspace(0.3, 2.5, 4)
+        fam = [(bd.strip(w, n), bd.ball(R, n)) for w in ws for R in rs]
+        fam += [(bd.ball(r1, n), bd.ball(r2, n))
+                for r1 in rs for r2 in rs if r2 > r1]
+        fam += [(bd.strip(w1, n), bd.strip(w2, n))
+                for w1 in ws for w2 in ws if w2 > w1]
+        return fam
+    table = cyl.partition(n)
+    if not np.any(table.mismatch):
+        return [(bd.ball(0.5, n), bd.ball(3.0, n))]
+    a_mis = table.a[table.mismatch]
+    lo = max(float(a_mis[0]) - 0.02, 0.01)
+    hi = min(float(a_mis[-1]) + 0.02, 0.99)
+    k = int(table.phi_argmin[table.mismatch][0])
+    return [(bd.cylinder(k, float(cyl.radius_of_measure(k, lo)), n),
+             bd.cylinder(k, float(cyl.radius_of_measure(k, hi)), n)),
+            (bd.ball(0.5, n), bd.ball(3.0, n))]
+
+
 def counterexample_search(transform, family, grid=None, n_t: int = 33,
                           rule: gm.SphereRule | None = None) -> dict:
     """Scan (K, L) pairs for a transformed-concavity violation.

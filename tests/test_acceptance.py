@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gausscvx import body as bd
-from gausscvx import cli
 from gausscvx import cylinder as cyl
 from gausscvx import gaussmoments as gm
 from gausscvx import specfun as sf
@@ -258,7 +257,7 @@ def test_c16_quadrature_vs_monte_carlo_measures():
 
 def test_c17_counterexample_searches_run_and_witnesses_reproduce():
     for name in ("phi_inv", "bad_func"):
-        fam = cli._counterexample_family(cli.RunConfig(n=2), name)
+        fam = vf.counterexample_family(2, name)
         out = vf.counterexample_search(name, fam, n_t=33)
         assert out["message"]
         assert out["pairs_scanned"] >= 1

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,7 +17,16 @@ from gausscvx import cli
 from gausscvx import cylinder as cyl
 
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The ``gausscvx ...`` lines of README's CLI block, as argv lists."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("gausscvx ")]
 
 
 def run(argv, capsys):
@@ -187,13 +197,11 @@ class TestVerifyCommand:
 
     def test_violation_exit_code_routing(self, capsys, tmp_path, monkeypatch):
         # no true inequality in the suite actually fails, so exercise the
-        # exit-1 path by stubbing a check that reports a negative margin
-        def fake_check(cfg):
-            verdict, code = cli._verdict_exit(-1.0, 1e-9)
-            return {"check": "stub", "lhs": 0.0, "rhs": 1.0, "margin": -1.0,
-                    "verdict": verdict, "config": {}, "version": "0"}, code
+        # exit-1 path by stubbing a row that reports a negative margin
+        def fake_row(cfg):
+            return 0.0, 1.0, -1.0, cli._grade(-1.0, 1e-9), {}
 
-        monkeypatch.setitem(cli.CHECKS, "stub", fake_check)
+        monkeypatch.setitem(cli.CHECKS, "stub", fake_row)
         code, out, _ = run(["verify", "--check", "stub",
                             "--out-dir", str(tmp_path)], capsys)
         assert code == 1
@@ -202,13 +210,38 @@ class TestVerifyCommand:
 
 class TestVerdictExit:
     def test_pass_inside_tolerance(self):
-        assert cli._verdict_exit(0.5, 1e-9) == ("pass", cli.EXIT_PASS)
-        assert cli._verdict_exit(-1e-12, 1e-9) == ("pass", cli.EXIT_PASS)
+        assert cli._grade(0.5, 1e-9) == "pass"
+        assert cli._grade(-1e-12, 1e-9) == "pass"
+        assert cli.VERDICT_EXIT["pass"] == cli.EXIT_PASS
 
     def test_violation_outside(self):
-        verdict, code = cli._verdict_exit(-1.0, 1e-9)
-        assert verdict == "violation"
-        assert code == cli.EXIT_VIOLATION
+        assert cli._grade(-1.0, 1e-9) == "violation"
+        assert cli.VERDICT_EXIT["violation"] == cli.EXIT_VIOLATION
+
+
+@pytest.mark.parametrize("body", ["box:a=0.7+1.0", "ball:R=0.9"])
+@pytest.mark.parametrize("check", sorted(cli.CHECKS))
+def test_every_check_reports_under_its_own_name(check, body, capsys, tmp_path):
+    code, out, err = run(["verify", "--check", check, "--body", body, "--n", "2",
+                          "--rule-size", "256", "--t-points", "9",
+                          "--out-dir", str(tmp_path)], capsys)
+    if check == "saint-venant" and body.startswith("box"):
+        # exact torsion exists only for strips, balls and cylinders
+        assert code == cli.EXIT_NUMERICAL
+        assert "numerical failure" in err and out == ""
+        return
+    rep = json.loads(out)
+    assert code == cli.VERDICT_EXIT[rep["verdict"]]
+    assert rep["check"] == check
+    assert set(rep) == {"check", "lhs", "rhs", "margin", "verdict", "config",
+                        "version", "details"}
+    assert (tmp_path / f"{check}.json").read_text() == out
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_exits_zero(argv, capsys, tmp_path):
+    code, _, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
 
 
 class TestUsageErrors:
