@@ -417,90 +417,96 @@ def sphere_area(n: int) -> float:
 # radial / gauge / inradius
 
 
-def _golden_refine(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
-    """Golden-section search for a minimum of f on [lo, hi]: (fmin, argmin),
-    the right point on an exact tie of the last two."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+_CHUNK_ENTRIES = 1 << 20  # bound on directions x grid entries per chunk
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int):
+    """Row-wise golden-section searches for minima of f on [lo, hi], all
+    rows in lockstep (f maps an (m,) array of points to (m,) values):
+    (fmin, argmin), the right point on an exact tie of the last two."""
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (fc, c) if fc < fd else (fd, d)
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    left = fc < fd
+    return np.where(left, fc, fd), np.where(left, c, d)
+
+
+def _refine(f, u: np.ndarray, delta: float) -> np.ndarray:
+    """Smallest f found near each unit row of u, f mapping (m, n) unit
+    rows to (m,) values.  n=2: a 40-step golden section in the angle over
+    +-delta.  n >= 3: three rounds of 30-step golden sections along each
+    tangent axis of the round's starting point, delta x0.35 per round,
+    keeping the best f met on the way (f(u) included)."""
+    if u.shape[1] == 2:
+        a0 = np.arctan2(u[:, 1], u[:, 0])
+        g = lambda a: f(np.column_stack([np.cos(a), np.sin(a)]))
+        return _golden_min(g, a0 - delta, a0 + delta, 40)[0]
+    unit = lambda v: v / np.linalg.norm(v, axis=1)[:, None]
+    best = f(u)
+    for _ in range(3):
+        for d in np.moveaxis(tangent_bases(u), 1, 0):
+            g = lambda s: f(unit(u + s[:, None] * d))
+            val, s = _golden_min(g, np.full(len(u), -delta), np.full(len(u), delta), 30)
+            u = unit(u + s[:, None] * d)
+            best = np.minimum(best, val)
+        delta *= 0.35
+    return best
+
+
+def _grid_support(body: SupportBody):
+    """(direction grid, h on it, grid spacing delta) for the generic paths."""
+    grid = direction_grid(body.n)
+    delta = 2.0 * np.pi / len(grid) if body.n == 2 else np.sqrt(4.0 * np.pi / len(grid))
+    return grid, np.asarray(body.support(grid), dtype=float), delta
 
 
 def radial(body: SupportBody, theta, with_err: bool = False):
     """Radial function rho(theta); exact oracle when present, else
-    inf_u h(u)/<theta,u> minimized over the direction grid with
-    golden-section refinement around the 5 best seeds.
-
-    With ``with_err`` the generic path also returns the heuristic
-    grid-resolution term bounding the over-estimate (0 for exact oracles).
-    """
+    inf_u h(u)/<theta,u>.  Per chunk of directions, the generic path takes
+    the quotients over the direction grid, refines every direction's 5 best
+    grid seeds in one batched search (``_refine``), and keeps the smallest
+    value.  With ``with_err`` it also returns the heuristic grid-resolution
+    term rho delta^2 for the over-estimate (0 for exact oracles)."""
     t, single = _rows(theta, body.n)
     if body.exact_radial is not None:
         vals = np.asarray(body.exact_radial(t), dtype=float)
-        out = (vals, np.zeros_like(vals)) if with_err else vals
-        if single:
-            return (float(vals[0]), 0.0) if with_err else float(vals[0])
-        return out
-
-    grid = direction_grid(body.n)
-    hvals = np.asarray(body.support(grid), dtype=float)
-    delta = 2.0 * np.pi / len(grid) if body.n == 2 else np.sqrt(4.0 * np.pi / len(grid))
-    vals = np.empty(len(t))
-    for i, th in enumerate(t):
-        dots = grid @ th
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(dots > 1e-12, hvals / np.maximum(dots, 1e-300), np.inf)
-        order = np.argsort(q)[:5]
-        best = np.min(q[order[0:1]])
-        for j in order:
-            u0 = grid[j]
-            best = min(best, _refine_seed(body, th, u0, delta))
-        vals[i] = best
-    err = vals * delta**2
+        err = np.zeros_like(vals)
+    else:
+        grid, hvals, delta = _grid_support(body)
+        k = min(5, len(grid))
+        vals = np.empty(len(t))
+        step = max(1, _CHUNK_ENTRIES // len(grid))
+        for lo in range(0, len(t), step):
+            th = t[lo : lo + step]
+            q = _quotients(hvals, grid, th[:, None, :])
+            seeds = np.argsort(q, axis=1)[:, :k]
+            th_k = np.repeat(th, k, axis=0)
+            ref = _refine(lambda u: _quotients(body.support(u), u, th_k),
+                          grid[seeds.ravel()], delta)
+            vals[lo : lo + step] = np.minimum(q[np.arange(len(th)), seeds[:, 0]],
+                                              ref.reshape(-1, k).min(axis=1))
+        err = vals * delta**2
     if single:
         return (float(vals[0]), float(err[0])) if with_err else float(vals[0])
     return (vals, err) if with_err else vals
 
 
-def _refine_seed(body: SupportBody, theta: np.ndarray, u0: np.ndarray, delta: float) -> float:
-    def quotient(u):
-        d = float(u @ theta)
-        if d <= 1e-12:
-            return np.inf
-        h = float(body.support(u[None, :])[0])
-        return h / d
-
-    n = body.n
-    if n == 2:
-        a0 = np.arctan2(u0[1], u0[0])
-        f = lambda a: quotient(np.array([np.cos(a), np.sin(a)]))
-        return _golden_refine(f, a0 - delta, a0 + delta)[0]
-    # alternate golden sections along two tangent directions
-    u = u0.copy()
-    best = quotient(u)
-    for _ in range(3):
-        for d in tangent_bases(u[None, :])[0]:
-            f = lambda s: quotient(_norm(u + s * d))
-            _, s_best = _golden_refine(f, -delta, delta, iters=30)
-            u = _norm(u + s_best * d)
-            best = min(best, quotient(u))
-        delta *= 0.35
-    return best
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _quotients(h, u, theta) -> np.ndarray:
+    """h / <u, theta> over the trailing axis (+inf where <u, theta> <= 1e-12),
+    summed term by term so that a row's value does not depend on the batch."""
+    dots = u[..., 0] * theta[..., 0]
+    for i in range(1, u.shape[-1]):
+        dots = dots + u[..., i] * theta[..., i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dots > 1e-12, h / np.maximum(dots, 1e-300), np.inf)
 
 
 def tangent_bases(u: np.ndarray) -> np.ndarray:
@@ -537,24 +543,18 @@ def gauge(body: SupportBody, x) -> np.ndarray | float:
 
 
 def inradius(body: SupportBody) -> float | None:
-    """min_u h(u) for symmetric bodies; None for shifted bodies."""
+    """min_u h(u) for symmetric bodies (None for shifted bodies): the
+    exact value when known, else the 5 best grid directions refined by the
+    batched search of ``radial``.  Every candidate is h at a unit
+    direction, so the result does not fall below the true in-radius."""
     if body.shifted:
         return None
     if body.exact_inradius is not None:
         return body.exact_inradius
-    grid = direction_grid(body.n)
-    hvals = np.asarray(body.support(grid), dtype=float)
-    delta = 2.0 * np.pi / len(grid) if body.n == 2 else np.sqrt(4.0 * np.pi / len(grid))
-    best = np.inf
-    for j in np.argsort(hvals)[:5]:
-        u = grid[j]
-        if body.n == 2:
-            a0 = np.arctan2(u[1], u[0])
-            f = lambda a: float(body.support(np.array([[np.cos(a), np.sin(a)]]))[0])
-            best = min(best, _golden_refine(f, a0 - delta, a0 + delta)[0])
-        else:
-            best = min(best, float(hvals[j]))
-    return float(best)
+    grid, hvals, delta = _grid_support(body)
+    seeds = np.argsort(hvals)[:5]
+    ref = _refine(lambda u: np.asarray(body.support(u), dtype=float), grid[seeds], delta)
+    return float(min(hvals[seeds[0]], np.min(ref)))
 
 
 # ---------------------------------------------------------------------------

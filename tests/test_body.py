@@ -1,5 +1,7 @@
 """Convex-body layer: supports, gauges, radial profiles, interpolation rules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +98,66 @@ class TestRadial:
         np.testing.assert_allclose(slow, fast, rtol=1e-7)
 
 
+def _support_only(K):
+    """K with its closed-form radial and in-radius withheld."""
+    return dataclasses.replace(K, exact_radial=None, exact_inradius=None,
+                               kind="generic", params=(), label="support-only")
+
+
+def _seeded_directions(n: int, m: int, seed: int) -> np.ndarray:
+    x = np.random.default_rng(seed).normal(size=(m, n))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestGenericRadial:
+    """The batched grid-min and golden-section refinement of the generic
+    radial path."""
+
+    # (body, direction seed, generic radials computed by the per-direction
+    # loop that the batched search replaced)
+    FROZEN = [
+        (bd.box([0.7, 1.2]), 101,
+         [1.2873141693061614, 1.1116609295011108, 1.0859812396314934,
+          0.8236999182369859, 0.9761363693772657, 1.0491054963421294,
+          0.7140632363598498]),
+        (bd.ball(1.1, 2), 102,
+         [1.0999999999999999, 1.1, 1.0999999999999999, 1.1, 1.1, 1.1, 1.1]),
+        (bd.ellipsoid([0.8, 1.5]), 103,
+         [1.0419223206442536, 1.1977184981053843, 1.1151096808296646,
+          0.9573459262603187, 0.8436745565337024, 0.9542168717413353,
+          1.082778019430572]),
+        (bd.box([0.7, 0.8, 0.9]), 104,
+         [1.2559891598404103, 0.9130892307833127, 0.7120716162146804,
+          0.9310009141432746, 1.0606278152693869, 0.9162319784775169]),
+    ]
+
+    @pytest.mark.parametrize("K, seed, want", FROZEN, ids=lambda x: getattr(x, "label", None))
+    def test_matches_frozen_loop_values(self, K, seed, want):
+        th = _seeded_directions(K.n, len(want), seed)
+        np.testing.assert_allclose(bd.radial(_support_only(K), th), want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("K, seed, want", FROZEN, ids=lambda x: getattr(x, "label", None))
+    def test_chunk_size_does_not_change_values(self, K, seed, want, monkeypatch):
+        G = _support_only(K)
+        th = _seeded_directions(K.n, len(want), seed)
+        whole = bd.radial(G, th)
+        monkeypatch.setattr(bd, "_CHUNK_ENTRIES", 1)  # one direction per chunk
+        assert np.array_equal(bd.radial(G, th), whole)
+        monkeypatch.setattr(bd, "_CHUNK_ENTRIES", 3 * len(bd.direction_grid(K.n)))
+        assert np.array_equal(bd.radial(G, th), whole)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_direction_returns_floats(self, n):
+        G = _support_only(bd.box(np.linspace(0.7, 1.1, n)))
+        th = _seeded_directions(n, 1, 5)
+        r = bd.radial(G, th[0])
+        assert type(r) is float
+        assert r == bd.radial(G, th)[0]
+        val, err = bd.radial(G, th[0], with_err=True)
+        assert type(val) is float and type(err) is float
+        assert val == r and 0.0 < err < 1e-2 * r
+
+
 class TestMeasureHooks:
     def test_inradius(self):
         assert bd.inradius(bd.ball(0.9, 3)) == pytest.approx(0.9, abs=1e-12)
@@ -103,6 +165,21 @@ class TestMeasureHooks:
         assert bd.inradius(bd.box((0.5, 1.2), 2)) == pytest.approx(0.5, abs=1e-10)
         assert bd.inradius(bd.catalog("ellipsoid", 2, c=(0.7, 2.0))) \
             == pytest.approx(0.7, abs=1e-10)
+
+    @pytest.mark.parametrize("K, want", [
+        (bd.box([0.7, 0.8, 0.9]), 0.7),
+        (bd.box([0.9, 0.9, 1.1]), 0.9),
+        (bd.ellipsoid([1.3, 0.85, 1.1]), 0.85),
+        (bd.lp_ball(1.2, 4.0, 3), 1.2),
+        # min_u r ||u||_q is reached on the diagonal for p < 2
+        (bd.lp_ball(1.3, 1.5, 3), 1.3 * 3 ** (0.5 - 1.0 / 1.5)),
+    ], ids=lambda x: getattr(x, "label", None))
+    def test_generic_inradius_in_three_dimensions(self, K, want):
+        # the refined grid minimum of h; every candidate is h at a unit
+        # direction, so it cannot undershoot
+        r = bd.inradius(_support_only(K))
+        assert r == pytest.approx(want, rel=1e-8)
+        assert r >= want * (1.0 - 1e-15)
 
     def test_membership_monte_carlo(self):
         # measures come from gaussmoments elsewhere; here only the geometry:
