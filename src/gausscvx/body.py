@@ -31,6 +31,7 @@ other cores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -406,11 +407,9 @@ def direction_grid(n: int, size: int | None = None) -> np.ndarray:
 
 
 def sphere_area(n: int) -> float:
-    from scipy.special import gamma as _gamma
-
     if n == 1:
         return 2.0
-    return float(2.0 * np.pi ** (n / 2.0) / _gamma(n / 2.0))
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 # ---------------------------------------------------------------------------

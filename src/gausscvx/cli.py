@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("specfun", help="scalar kernel table (CSV)")
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=int, default=1)
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=3.0)
     p.add_argument("--points", type=int, default=31)

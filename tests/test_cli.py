@@ -35,6 +35,22 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+SPECFUN_P2_TABLE = """\
+t,g,j,psi,phi
+0,0,0,0.5,0
+0.3,0.086039773365,0.00876086021085,0.617911422189,0.235822844378
+0.6,0.300697276108,0.0647013911107,0.72574688225,0.4514937645
+0.9,0.540251216795,0.191664693117,0.815939874653,0.631879749306
+1.2,0.700923248582,0.380774541233,0.884930329778,0.769860659557
+1.5,0.730468051556,0.598874616628,0.933192798731,0.866385597462
+1.8,0.641191785031,0.80703252516,0.964069680887,0.928139361774
+2.1,0.486204816593,0.977008572483,0.982135579437,0.964271158874
+2.4,0.323336233925,1.09804253118,0.991802464075,0.983604928151
+2.7,0.190425077835,1.17409591615,0.996533026197,0.993066052394
+3,0.0999809688442,1.21660345513,0.998650101968,0.997300203937
+"""
+
+
 class TestTables:
     def test_cylinder_table_shape(self, capsys, tmp_path):
         code, out, _ = run(["cylinder-table", "--n", "2", "--grid", "99",
@@ -54,6 +70,17 @@ class TestTables:
         rows = out.strip().splitlines()
         assert rows[0].startswith("t,")
         assert len(rows) == 12
+
+    def test_specfun_order_must_be_integer(self, capsys, tmp_path):
+        # J_p is defined here for integer p only; --p 2 prints the table that
+        # the scipy-backed kernels printed for p = 2.0
+        code, _, err = run(["specfun", "--p", "2.5", "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "invalid int value" in err
+        code, out, _ = run(["specfun", "--p", "2", "--points", "11",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert out == SPECFUN_P2_TABLE
 
 
 class TestPartitionCommand:
@@ -135,6 +162,47 @@ print(sorted(m for m in sys.modules
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_commands_leave_scipy_unimported(self, tmp_path):
+        # one command of each kind the cold-start benchmark launches, in a
+        # fresh interpreter: the kernels are in-package, so scipy stays out
+        commands = [
+            ["partition", "--n", "2"],
+            ["cylinder-table", "--n", "3", "--grid", "9"],
+            ["measure", "--body", "cylinder:k=2,R=0.9,n=3", "--mc", "1000"],
+            ["torsion", "--halfspace", "0.3"],
+            ["plot", "--n", "2", "--figure", "all"],
+            ["verify", "--check", "saint-venant", "--n", "3", "--body", "cylinder:k=2,R=0.9"],
+            ["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=0.8",
+             "--t-points", "9"],
+            ["verify", "--check", "weak", "--n", "3", "--body", "ball:R=0.8", "--t-points", "9"],
+            ["verify", "--check", "conjecture", "--n", "2", "--body", "ball:R=0.8",
+             "--t-points", "9"],
+            ["verify", "--check", "conjecture", "--n", "3", "--body", "ball:R=0.8",
+             "--t-points", "9"],
+            ["verify", "--check", "moments", "--n", "2", "--rule-size", "256",
+             "--body", "box:a=0.7+1.0"],
+            ["verify", "--check", "gauss-main", "--n", "2", "--body", "ball:R=1",
+             "--t-points", "9", "--rule-size", "256"],
+            ["verify", "--check", "alpha-halfspace"],
+            ["verify", "--check", "counterexample-bad-func", "--n", "2", "--t-points", "9"],
+        ]
+        script = f"""
+import contextlib, io, sys
+import gausscvx.cli
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gausscvx.cli.main(argv + ["--out-dir", {str(tmp_path)!r}])
+    assert code in (0, 1), (argv, code)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 

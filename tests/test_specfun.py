@@ -1,5 +1,6 @@
 """Scalar kernel layer: quadrature oracles, identities, inverses."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,19 @@ class TestCdfPair:
         with pytest.raises(sf.DomainError):
             sf.j_inverse(1, -0.5)
 
+    @pytest.mark.parametrize("p", [2.5, -1, -2.0, float("nan"), "2", None])
+    def test_j_order_must_be_a_nonnegative_integer(self, p):
+        for f, x in ((sf.j_lower, 1.0), (sf.j_inverse, 0.1), (sf.j_inverse_regularized, 0.5)):
+            with pytest.raises(sf.DomainError):
+                f(p, x)
+
+    def test_j_order_of_any_integer_type(self):
+        want = sf.j_lower(3, 1.2)
+        assert sf.j_lower(np.int64(3), 1.2) == want
+        assert sf.j_lower(3.0, 1.2) == want
+        # g keeps a real order
+        assert sf.g(2.5, 1.2) == pytest.approx(1.2**2.5 * np.exp(-0.72), rel=1e-15)
+
 
 class TestEta:
     def test_zero_at_half(self):
@@ -107,3 +121,118 @@ def test_psi_slope_is_density(t):
     slope = oracles.fd_slope(lambda s: float(sf.psi(s)), t)
     assert slope == pytest.approx(np.exp(-t * t / 2) / np.sqrt(2 * np.pi),
                                   rel=1e-4, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# against mpmath at 40 digits.  Every point is evaluated twice: in one array
+# of more than 16 elements (the numpy carrier) and one scalar at a time (the
+# float carrier); both must be within REL of the 40-digit value.
+
+mp = mpmath.mp.clone()
+mp.dps = 40
+REL = 2e-15
+TINY = np.finfo(float).tiny
+
+
+def both_carriers(f, xs):
+    xs = [float(x) for x in xs]
+    batch = f(np.array(xs * (1 + 17 // len(xs))))[:len(xs)]
+    return [(x, float(v), float(f(x))) for x, v in zip(xs, batch)]
+
+
+def rel_err(value, ref) -> float:
+    return float(abs((mp.mpf(value) - ref) / ref))
+
+
+def lower_gamma_reg(a, x):
+    """P(a, x) as x^a e^-x / Gamma(a+1) 1F1(1; a+1; x): all terms positive."""
+    return x**a * mp.exp(-x) / mp.gamma(a + 1) * mp.hyp1f1(1, a + 1, x)
+
+
+def newton_rel(x, residual, slope) -> float:
+    """|dx / x| for the mpmath Newton correction dx = residual(x) / slope(x),
+    the relative error of x to first order in dx."""
+    xm = mp.mpf(x)
+    return float(abs(residual(xm) / slope(xm) / xm))
+
+
+T_GRID = np.concatenate([np.linspace(-38.0, 38.0, 154),
+                         [-1e-12, -1e-3, 1e-3, 1e-12, 0.0]])
+A_POINTS = [1e-300, 1e-30, 1e-10, 0.3, 0.5 - 1e-9, 0.5 + 1e-9, 0.9, 1 - 1e-12, 1 - 2.0**-53]
+R_POINTS = [0.0, 1e-3, 0.05, 0.3, 1.0, 2.4, 6.0, 12.0, 40.0, np.inf]
+Q_POINTS = [0.0, 1e-300, 1e-12, 0.5, 1 - 1e-12, 1 - 1e-16]
+
+
+class TestAgainstMpmath:
+    def test_psi(self):
+        for t, batch, single in both_carriers(sf.psi, T_GRID):
+            ref = mp.ncdf(t)
+            for v in (batch, single):
+                if ref < TINY:
+                    # a subnormal result carries an absolute, not relative, ulp
+                    assert abs(mp.mpf(v) - ref) <= 2 * 2.0**-1074, t
+                else:
+                    assert rel_err(v, ref) <= REL, t
+
+    def test_phi(self):
+        for t, batch, single in both_carriers(sf.phi, np.abs(T_GRID)):
+            ref = mp.erf(mp.mpf(t) / mp.sqrt(2))
+            for v in (batch, single):
+                assert (v == 0.0) if t == 0.0 else rel_err(v, ref) <= REL, t
+
+    def test_psi_inv(self):
+        for a, batch, single in both_carriers(sf.psi_inv, A_POINTS):
+            am = mp.mpf(a)
+            if a <= 0.5:
+                residual = lambda x: mp.ncdf(x) - am
+            else:
+                residual = lambda x: (1 - am) - mp.ncdf(-x)
+            for v in (batch, single):
+                assert newton_rel(v, residual, mp.npdf) <= REL, a
+
+    def test_phi_inv(self):
+        for a, batch, single in both_carriers(sf.phi_inv, A_POINTS):
+            am = mp.mpf(a)
+            if a <= 0.5:
+                residual = lambda x: mp.erf(x / mp.sqrt(2)) - am
+            else:
+                residual = lambda x: (1 - am) - mp.erfc(x / mp.sqrt(2))
+            for v in (batch, single):
+                assert newton_rel(v, residual, lambda x: 2 * mp.npdf(x)) <= REL, a
+
+    @pytest.mark.parametrize("p", range(9))
+    def test_j_lower(self, p):
+        total = mp.gamma(mp.mpf(p + 1) / 2) * mp.mpf(2) ** (mp.mpf(p - 1) / 2)
+        assert rel_err(sf.j_total(p), total) <= REL
+        for R, batch, single in both_carriers(lambda R: sf.j_lower(p, R), R_POINTS):
+            for v in (batch, single):
+                if R == 0.0:
+                    assert v == 0.0
+                elif R == np.inf:
+                    assert v == sf.j_total(p)
+                else:
+                    x = mp.mpf(R) ** 2 / 2
+                    ref = total * lower_gamma_reg(mp.mpf(p + 1) / 2, x)
+                    assert rel_err(v, ref) <= REL, R
+
+    @pytest.mark.parametrize("p", range(9))
+    def test_j_inverse_regularized_relative_to_one_minus_q(self, p):
+        a = mp.mpf(p + 1) / 2
+        total = mp.gamma(a) * mp.mpf(2) ** (a - 1)
+
+        def slope(R):
+            return R**p * mp.exp(-R * R / 2) / total
+
+        for q, batch, single in both_carriers(lambda q: sf.j_inverse_regularized(p, q), Q_POINTS):
+            qm = mp.mpf(q)
+            if q <= 0.5:
+                residual = lambda R: lower_gamma_reg(a, R * R / 2) - qm
+            else:
+                # the tail 1 - q is exact in double precision here
+                residual = lambda R: (1 - qm) - mp.gammainc(a, R * R / 2, mp.inf,
+                                                            regularized=True)
+            for v in (batch, single):
+                if q == 0.0:
+                    assert v == 0.0
+                else:
+                    assert newton_rel(v, residual, slope) <= REL, q
