@@ -159,22 +159,19 @@ def _emit_csv(rows, header: list[str], out_path: str | None) -> None:
 
 def cmd_specfun(cfg: RunConfig, args) -> int:
     t = np.linspace(args.t_min, args.t_max, args.points)
-    rows = [(float(ti), float(sf.g(args.p, ti)), float(sf.j_lower(args.p, ti)),
-             float(sf.psi(ti)), float(sf.phi(abs(ti)))) for ti in t]
+    cols = (t, sf.g(args.p, t), sf.j_lower(args.p, t), sf.psi(t), sf.phi(np.abs(t)))
+    rows = [tuple(map(float, row)) for row in zip(*cols)]
     _emit_csv(rows, ["t", "g", "j", "psi", "phi"], args.out)
     return EXIT_PASS
 
 
 def cmd_cylinder_table(cfg: RunConfig, args) -> int:
     a = (np.arange(cfg.grid) + 1.0) / (cfg.grid + 1.0)
-    rows = []
-    for ai in a:
-        for k in range(1, cfg.n + 1):
-            rows.append((float(ai), k,
-                         float(cyl.radius_of_measure(k, ai)),
-                         float(cyl.perimeter_s(k, ai)),
-                         float(cyl.phi_k(k, ai)),
-                         float(cyl.ps_cylinder(k, ai))))
+    ks = range(1, cfg.n + 1)
+    cols = [(cyl.radius_of_measure(k, a), cyl.perimeter_s(k, a),
+             cyl.phi_k(k, a), cyl.ps_cylinder(k, a)) for k in ks]
+    rows = [(float(ai), k) + tuple(float(c[i]) for c in cols[k - 1])
+            for i, ai in enumerate(a) for k in ks]
     _emit_csv(rows, ["a", "k", "R", "s", "phi", "ps"], args.out)
     return EXIT_PASS
 

@@ -35,12 +35,14 @@ s_k-argmin pieces with every beta = 1.
 replaces min_k phi_k(s) by the torsion/moment lower bound
 
     phi_inv(s)^2 / (2 e^2 n^2 s)
-      + 1 / (n s - J_{n+1}(J_{n-1}^{-1}(c s)) / c)  - 1/s,
+      + 1 / (n s - J_{n+1}(R_n(s)) / c)  - 1/s,
 
-with c = J_{n-1}(inf).  ``ExpIntegralTransform`` integrates it on
-piecewise-Chebyshev panels: W cumulatively in log s, s and -log(1 - s),
-then F in u = t^{1/n}, which absorbs the t^{-(n-1)/n} blow-up at 0, and
-in -log(1 - t).
+with c = J_{n-1}(inf).  By the recurrence J_{n+1} = n J_{n-1} - g_n the
+middle term is c / g_n(R_n(s)) = (log R_n)'(s), so the last two terms
+integrate to log(R_n(s) / s) and only the smooth first term needs
+quadrature.  ``ExpIntegralTransform`` integrates that term on
+piecewise-Chebyshev panels in s and -log(1 - s), then F in u = t^{1/n},
+which absorbs the t^{-(n-1)/n} blow-up at 0, and in -log(1 - t).
 """
 
 from __future__ import annotations
@@ -289,7 +291,6 @@ def _glued_radius(crossings, k_first: int, match_slope: bool) -> PiecewiseRadius
 
 
 _S_LO, _S_HI = 1e-3, 1.0 - 1e-3
-_Y_FLOOR = np.log(1e-150)
 _U_FLOOR = 1e-8
 
 
@@ -301,63 +302,60 @@ def _open_unit(a) -> tuple[np.ndarray, bool]:
 
 
 class ExpIntegralTransform:
-    """F(a) = int_0^a exp(W(t)) dt with W(t) = int_{1/2}^t w(s) ds.
+    """``weak_F`` in dimension n: F(a) = int_0^a exp(W(t)) dt.
 
-    ``w`` must be vectorized on (0,1) with s w(s) -> -(n-1)/n as s -> 0, so
-    that exp(W) ~ t^{-(n-1)/n}.  W is integrated on Chebyshev panels in
-    log s below 1e-3 (continued below s = 1e-150 with slope -(n-1)/n), in s
-    up to 1 - 1e-3, and in -log(1 - s) above.  F is integrated on panels in
-    u = t^{1/n}, where f(u) = n u^{n-1} exp(W(u^n)) tends to a constant
-    f(0), and in -log(1 - t) above 1 - 1e-3; below u = 1e-8, F = f(1e-8) u,
-    which holds to O(u^2) when s w(s) + (n-1)/n = O(s^{2/n}), as it is for
-    ``weak_F``.  Everything is built here, once, so each value is a fixed
-    function of its argument.
+    W(t) = log(R_n(t) / R_n(1/2)) - log 2t + I(t), so the slope is
+    exp(W(a)) = R_n(a) e^{I(a)} / (2 a R_n(1/2)), with R_n as in
+    ``radius_of_measure`` and the smooth remainder
+    I(t) = int_{1/2}^t phi_inv(s)^2 / (2 e^2 n^2 s) ds integrated on
+    Chebyshev panels in s up to 1 - 1e-3 and in -log(1 - s) above.  F is
+    integrated on panels in u = t^{1/n}, where f(u) = n u^{n-1} exp(W(u^n))
+    tends to a constant f(0) because R_n(t) ~ t^{1/n}, and in -log(1 - t)
+    above 1 - 1e-3; below u = 1e-8, F = f(1e-8) u, which holds to O(u^2).
+    Everything is built here, once, so each value is a fixed function of
+    its argument.
     """
 
-    def __init__(self, w, n: int):
-        self.w = w
+    def __init__(self, n: int):
         self.n = n = int(n)
-        y_lo, x_hi = np.log(_S_LO), -np.log1p(-_S_HI)
+        e2n2 = 2.0 * np.e**2 * n**2
+        x_hi = -np.log1p(-_S_HI)
         x_top = 53.0 * np.log(2.0)  # -log(1 - s) at the largest double s < 1
-        self._W_mid = pn.Cumulative(w, [_S_LO, 0.5, _S_HI], 0.5, 0.0,
-                                    gap=lambda s: 1.0 - s)
-        self._W_log = pn.Cumulative(lambda y: np.exp(y) * w(np.exp(y)),
-                                    [_Y_FLOOR, y_lo], y_lo, self._W_mid(_S_LO),
-                                    gap=lambda y: -np.expm1(y))
+        self._two_R_half = 2.0 * sf.j_inverse_regularized(n - 1, 0.5)
+        self._I_mid = pn.Cumulative(lambda s: sf.phi_inv(s) ** 2 / (e2n2 * s),
+                                    [0.0, 0.5, _S_HI], 0.5, 0.0)
 
-        def w_tail(x):
+        def i_tail(x):
             s = -np.expm1(-x)
-            return (1.0 - s) * w(s)
+            return np.exp(-x) * sf.phi_inv(s) ** 2 / (e2n2 * s)
 
-        self._W_tail = pn.Cumulative(w_tail, [x_hi, x_top], x_hi,
-                                     self._W_mid(_S_HI), gap=lambda x: np.exp(-x))
+        self._I_tail = pn.Cumulative(i_tail, [x_hi, x_top], x_hi, self._I_mid.last)
         # F's panels grow geometrically up to s = 1e-3, so that F keeps its
-        # relative accuracy there, then start on W's
+        # relative accuracy there, then start on I's
         u_lo = _S_LO ** (1.0 / n)
+        s_edges = self._I_mid.edges
         u_edges = np.concatenate([
-            np.geomspace(_U_FLOOR, u_lo, int(np.log10(u_lo / _U_FLOOR)) + 2)[:-1],
-            self._W_mid.edges ** (1.0 / n)])
+            np.geomspace(_U_FLOOR, u_lo, int(np.log10(u_lo / _U_FLOOR)) + 2),
+            s_edges[s_edges > _S_LO] ** (1.0 / n)])
 
         def f_u(u):
-            return n * np.exp(self._W(u**n) + (n - 1) * np.log(u))
+            t = u**n
+            return n * u ** (n - 1) * self._exp_W(t, self._I_mid(t))
 
         self._f0 = float(f_u(np.array(_U_FLOOR)))
-        self._F_u = pn.Cumulative(f_u, u_edges, _U_FLOOR, self._f0 * _U_FLOOR,
-                                  gap=lambda u: 1.0 - u**n)
-        self._F_tail = pn.Cumulative(lambda x: np.exp(self._W_tail(x) - x),
-                                     self._W_tail.edges, x_hi, self._F_u(u_edges[-1]),
-                                     gap=lambda x: np.exp(-x))
+        self._F_u = pn.Cumulative(f_u, u_edges, _U_FLOOR, self._f0 * _U_FLOOR)
 
-    def _W(self, t: np.ndarray) -> np.ndarray:
-        out = np.empty(t.shape)
-        lo, hi = t < _S_LO, t > _S_HI
-        mid = ~(lo | hi)
-        y = np.log(t[lo])
-        out[lo] = (self._W_log(np.maximum(y, _Y_FLOOR))
-                   - (self.n - 1) / self.n * np.minimum(y - _Y_FLOOR, 0.0))
-        out[mid] = self._W_mid(t[mid])
-        out[hi] = self._W_tail(-np.log1p(-t[hi]))
-        return out
+        def f_tail(x):
+            t = -np.expm1(-x)
+            return self._exp_W(t, self._I_tail(x) - x)
+
+        self._F_tail = pn.Cumulative(f_tail, self._I_tail.edges, x_hi,
+                                     self._F_u(u_edges[-1]))
+
+    def _exp_W(self, t: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+        """R_n(t) e^{exponent} / (2 t R_n(1/2)); exp(W(t)) for exponent I(t)."""
+        R = sf.j_inverse_regularized(self.n - 1, t)
+        return R * np.exp(exponent) / (self._two_R_half * t)
 
     def __call__(self, a) -> np.ndarray | float:
         aa, scalar = _open_unit(a)
@@ -373,7 +371,11 @@ class ExpIntegralTransform:
     def slope(self, a) -> np.ndarray | float:
         """First derivative of the transform, exp(W(a))."""
         aa, scalar = _open_unit(a)
-        out = np.exp(self._W(aa))
+        integral = np.empty(aa.shape)
+        hi = aa > _S_HI
+        integral[~hi] = self._I_mid(aa[~hi])
+        integral[hi] = self._I_tail(-np.log1p(-aa[hi]))
+        out = self._exp_W(aa, integral)
         return float(out[0]) if scalar else out
 
 
@@ -385,18 +387,7 @@ def _conjecture(n: int) -> PiecewiseRadius:
 
 @lru_cache(maxsize=None)
 def _weak(n: int) -> ExpIntegralTransform:
-    c = sf.j_total(n - 1)
-    e2n2 = 2.0 * np.e**2 * n**2
-
-    def w(s):
-        ss = np.asarray(s, dtype=float)
-        q = sf.phi_inv(ss)
-        # n s - J_{n+1}(R) / c with J_{n-1}(R) = c s is g_n(R) / c by the
-        # recurrence J_{n+1} = n J_{n-1} - g_n, free of cancellation as s -> 1
-        R = sf.j_inverse_regularized(n - 1, ss)
-        return q**2 / (e2n2 * ss) + c / sf.g(n, R) - 1.0 / ss
-
-    return ExpIntegralTransform(w, n)
+    return ExpIntegralTransform(n)
 
 
 def conjecture_F(n: int, a) -> np.ndarray | float:

@@ -22,10 +22,6 @@ _NODES = np.cos(_THETA)
 _TO_COEF = (2.0 / (_DEG + 1)) * np.cos(np.outer(np.arange(_DEG + 1), _THETA))
 _TO_COEF[0] /= 2.0
 _TOL = 1e-12
-# an integrand known only to a few ulps cannot have its tails resolved below
-# this floor; near s = 1 a function of a double s is known only to about
-# eps / (1 - s), which ``gap`` expresses
-_NOISE = 64.0 * np.finfo(float).eps
 _MAX_PANELS = 400
 
 
@@ -38,17 +34,16 @@ class Cumulative:
 
     ``f`` is vectorized.  The panels start as ``edges`` (``x0`` must be one
     of them) and are bisected until their trailing coefficients fall below
-    ``_TOL`` of the panel's scale, or below ``_NOISE / gap(lo)`` of it if
-    that is larger, when ``gap`` maps the coordinate to the distance 1 - s
-    at which the integrand loses accuracy.  The scale is the
-    panel's largest value but at least 1e-2, so that an integrand that
-    vanishes on a panel is not resolved down to its rounding noise: such
-    panels count to absolute accuracy.  A non-finite value or more than
-    ``_MAX_PANELS`` panels raises ``NumericalFailure``.  ``last`` is G at
-    the right end and ``err`` the estimate of the module docstring.
+    ``_TOL`` of the panel's scale.  The scale is the panel's largest value
+    but at least 1e-2, so that an integrand that vanishes on a panel is not
+    resolved down to its rounding noise: such panels count to absolute
+    accuracy.  A non-finite value, or more than ``_MAX_PANELS`` panels (as
+    for an integrand whose rounding noise exceeds ``_TOL`` of its scale),
+    raises ``NumericalFailure``.  ``last`` is G at the right end and ``err``
+    the estimate of the module docstring.
     """
 
-    def __init__(self, f, edges, x0: float, g0: float, gap=None):
+    def __init__(self, f, edges, x0: float, g0: float):
         todo, panels = list(zip(edges[:-1], edges[1:])), []
         while todo:
             lo, hi = np.array(todo).T
@@ -59,9 +54,8 @@ class Cumulative:
                     f"integrand not finite on [{lo.min():g}, {hi.max():g}]")
             coef = vals @ _TO_COEF.T
             scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-2)
-            tol = _TOL if gap is None else np.maximum(_TOL, _NOISE / gap(lo))
             tail = np.abs(coef[:, -3:])
-            ok = np.max(tail, axis=1) <= tol * scale
+            ok = np.max(tail, axis=1) <= _TOL * scale
             panels += zip(lo[ok], hi[ok], coef[ok], tail[ok].sum(axis=1))
             todo = [p for l, m, h in zip(lo[~ok], mid[~ok], hi[~ok])
                     for p in ((l, m), (m, h))]

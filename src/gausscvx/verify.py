@@ -165,14 +165,20 @@ def _power_transform(p: float) -> MeasureTransform:
         lambda a: abs(p) * np.asarray(a, dtype=float) ** (p - 1.0))
 
 
+_CYLINDER_TRANSFORMS = {"conjecture_F": cyl.conjecture_transform,
+                        "weak_F": cyl.weak_transform,
+                        "bad_func": cyl.bad_transform}
+
+
 def measure_transform(spec, n: int) -> MeasureTransform:
-    """Resolve a transform from a name, a power tag, or a transform object."""
+    """Resolve a transform from a name, a power tag, or a transform object.
+
+    A transform object is callable and has a ``slope``.
+    """
     if isinstance(spec, MeasureTransform):
         return spec
-    if hasattr(spec, "slope") and (hasattr(spec, "value") or callable(spec)):
-        value = spec.value if hasattr(spec, "value") else spec
-        return MeasureTransform(getattr(spec, "name", "custom"),
-                                value, spec.slope)
+    if hasattr(spec, "slope"):
+        return MeasureTransform(getattr(spec, "name", "custom"), spec, spec.slope)
     name = str(spec)
     if name.startswith("power:"):
         return _power_transform(float(name.split(":", 1)[1]))
@@ -184,15 +190,9 @@ def measure_transform(spec, n: int) -> MeasureTransform:
         return MeasureTransform(
             name, sf.phi_inv,
             lambda a: np.sqrt(np.pi / 2.0) * np.exp(sf.phi_inv(a) ** 2 / 2.0))
-    if name == "conjecture_F":
-        t = cyl.conjecture_transform(n)
+    if name in _CYLINDER_TRANSFORMS:
+        t = _CYLINDER_TRANSFORMS[name](n)
         return MeasureTransform(name, t, t.slope)
-    if name == "weak_F":
-        t = cyl.weak_transform(n)
-        return MeasureTransform(name, t, t.slope)
-    if name == "bad_func":
-        t = cyl.bad_transform(n)
-        return MeasureTransform(name, t.value, t.slope)
     raise VerificationError(f"unknown transform {name!r}")
 
 

@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 
 from gausscvx import cli
 from gausscvx import cylinder as cyl
+from gausscvx import specfun as sf
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,6 +34,12 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def csv_text(header, rows) -> str:
+    """CSV in the CLI's format: floats to 12 significant digits."""
+    return "".join(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                            for v in row) + "\n" for row in [header] + rows)
 
 
 SPECFUN_P2_TABLE = """\
@@ -62,6 +69,27 @@ class TestTables:
         a, k, R, s, phi, ps = map(float, lines[1].split(","))
         assert a == pytest.approx(1.0 / 100.0)
         assert ps == pytest.approx(1.0 + a * phi, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cylinder_table_matches_per_scalar_profiles(self, n, capsys, tmp_path):
+        # each profile runs once per k on the whole grid; the text must be
+        # the rows that one call per scalar measure gives
+        code, out, _ = run(["cylinder-table", "--n", str(n), "--grid", "99",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        rows = [[float(a), k] + [float(f(k, a)) for f in (
+                    cyl.radius_of_measure, cyl.perimeter_s, cyl.phi_k, cyl.ps_cylinder)]
+                for a in (np.arange(99) + 1.0) / 100.0 for k in range(1, n + 1)]
+        assert out == csv_text(["a", "k", "R", "s", "phi", "ps"], rows)
+
+    def test_specfun_matches_per_scalar_kernels(self, capsys, tmp_path):
+        code, out, _ = run(["specfun", "--p", "3", "--points", "101", "--t-max", "9",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        rows = [[float(t), float(sf.g(3, t)), float(sf.j_lower(3, t)),
+                 float(sf.psi(t)), float(sf.phi(abs(t)))]
+                for t in np.linspace(0.0, 9.0, 101)]
+        assert out == csv_text(["t", "g", "j", "psi", "phi"], rows)
 
     def test_specfun_csv(self, capsys, tmp_path):
         code, out, _ = run(["specfun", "--p", "2", "--points", "11",
