@@ -21,16 +21,21 @@ and the calculus of ``verify.MultiPoly``.  ``RayPolynomial.coeffs`` is the
 one place a polynomial is lowered to the ray coefficients a_j(theta),
 from the directions and the sampled rho.
 
-A ``PolarSample`` holds rho on a rule and on its nested half rule, so a
-body's radial function is evaluated once per rule however many moments,
-bundles and torsion bounds integrate against it.  ``measure`` and
+A ``PolarSample`` holds rho on a rule's points stacked with its nested
+half rule's, so a body's radial function is evaluated in one call per
+sample however many moments, bundles and torsion bounds integrate against
+it.  It also keeps one table of J_{n-1+j}(rho), j = 0..deg: the kernel
+gives the top two orders and the downward recurrence
+J_p = (J_{p+2} + g_{p+1}) / (p + 1) the rest (``specfun.j_lower_orders``),
+so a batch of integrals (``PolarSample.integrals``) and the integrals that
+follow it at no higher degree reuse one table.  ``measure`` and
 ``ray_integral`` are one-shot forms over a fresh sample.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -213,57 +218,88 @@ def _polar_sum(rule: SphereRule, per_dir: np.ndarray) -> float:
     return float(norm * rule.weight * np.sum(per_dir))
 
 
-@dataclass(frozen=True)
-class PolarSample:
-    """rho_K on a rule's points, and the sample on its nested half rule.
+@lru_cache(maxsize=32)
+def _stacked_points(n: int, size: int) -> np.ndarray:
+    """The points of ``sphere_rule(n, size)`` followed by its half rule's,
+    so one radial call samples both."""
+    rule = sphere_rule(n, size)
+    pts = np.concatenate([rule.points, _half_rule(rule).points])
+    pts.setflags(write=False)
+    return pts
 
-    ``half`` is None for the n=4 Monte Carlo rule, whose error is
-    3 standard errors instead of a half-rule difference.
+
+@dataclass(eq=False)
+class PolarSample:
+    """rho_K on a rule's points stacked with its nested half rule's.
+
+    ``points`` and ``rho`` hold the rule's ``rule.size`` directions first
+    and the half rule's after them; each integrand is evaluated once on
+    both and split into the two polar sums.  ``half`` is None for the n=4
+    Monte Carlo rule, which has no half rule: its error is 3 standard
+    errors instead of a half-rule difference.
+
+    The table of J_{n-1+j}(rho), j = 0..deg, is built once, at the highest
+    degree asked for so far, and kept for later integrals.  Its lower rows
+    come from the recurrence, so an integral can move in its last bits
+    with the degree of the table it meets; every entry is within 2e-15
+    relative of J either way.
     """
 
     K: bd.SupportBody
     rule: SphereRule
+    half: SphereRule | None
+    points: np.ndarray
     rho: np.ndarray
-    half: "PolarSample | None"
+    _J: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def _ray_values(self, coeffs) -> np.ndarray:
-        A = np.asarray(coeffs(self.rule.points, self.rho), dtype=float)
-        out = np.zeros(len(self.rho))
+    def _orders(self, deg: int) -> np.ndarray:
+        if self._J is None or len(self._J) <= deg:
+            n = self.K.n
+            self._J = sf.j_lower_orders(n - 1, n - 1 + deg, self.rho)
+        return self._J
+
+    def _estimate(self, A: np.ndarray, J: np.ndarray) -> Estimate:
+        per_dir = np.zeros(len(self.rho))
         for j in range(A.shape[1]):
             col = A[:, j]
             if np.any(col != 0.0):
-                out += col * sf.j_lower(self.K.n + j - 1, self.rho)
-        return out
-
-    def integral(self, f) -> Estimate:
-        """Unnormalized int_K f dgamma by the polar rule; err from the
-        nested half-resolution rule (3 sigma for the n=4 Monte Carlo rule).
-
-        f is a RayPolynomial or, for an integrand that is polynomial along
-        each ray but not a RayPolynomial, a function (dirs, rho) -> ray
-        coefficients shaped like ``RayPolynomial.coeffs``.
-        """
-        coeffs = f.coeffs if isinstance(f, RayPolynomial) else f
-        per_dir = self._ray_values(coeffs)
-        val = _polar_sum(self.rule, per_dir)
+                per_dir += col * J[j]
+        m = self.rule.size
+        val = _polar_sum(self.rule, per_dir[:m])
         if self.half is None:
             norm = (2.0 * np.pi) ** (-self.K.n / 2.0) * bd.sphere_area(self.K.n)
-            err = 3.0 * norm * float(np.std(per_dir)) / np.sqrt(self.rule.size)
+            err = 3.0 * norm * float(np.std(per_dir)) / np.sqrt(m)
         else:
-            err = abs(val - _polar_sum(self.half.rule, self.half._ray_values(coeffs)))
+            err = abs(val - _polar_sum(self.half, per_dir[m:]))
         err += 1e-13 * max(1.0, abs(val))
         return Estimate(val, err, "quadrature")
 
+    def integrals(self, *fs) -> list[Estimate]:
+        """Unnormalized int_K f dgamma for each f by the polar rule, over
+        one J table at the batch's top degree; err from the nested
+        half-resolution rule (3 sigma for the n=4 Monte Carlo rule).
+
+        Each f is a RayPolynomial or, for an integrand that is polynomial
+        along each ray but not a RayPolynomial, a function (dirs, rho) ->
+        ray coefficients shaped like ``RayPolynomial.coeffs``.
+        """
+        coeffs = [f.coeffs if isinstance(f, RayPolynomial) else f for f in fs]
+        As = [np.asarray(c(self.points, self.rho), dtype=float) for c in coeffs]
+        J = self._orders(max(A.shape[1] for A in As) - 1)
+        return [self._estimate(A, J) for A in As]
+
+    def integral(self, f) -> Estimate:
+        """``integrals`` of the one integrand f."""
+        return self.integrals(f)[0]
+
 
 def polar_sample(K: bd.SupportBody, rule: SphereRule | None = None) -> PolarSample:
-    """Evaluate rho_K once on ``rule`` (default per dimension) and once on
+    """Evaluate rho_K in one call on ``rule`` (default per dimension) and
     its nested half rule."""
     rule = rule or sphere_rule(K.n)
-
-    def sample(r: SphereRule, half: PolarSample | None = None) -> PolarSample:
-        return PolarSample(K, r, np.asarray(bd.radial(K, r.points), dtype=float), half)
-
-    return sample(rule, None if K.n == 4 else sample(_half_rule(rule)))
+    half = None if K.n == 4 else _half_rule(rule)
+    points = rule.points if half is None else _stacked_points(rule.n, rule.size)
+    return PolarSample(K, rule, half, points, np.asarray(bd.radial(K, points), dtype=float))
 
 
 def ray_integral(K: bd.SupportBody, f: RayPolynomial,
@@ -303,14 +339,13 @@ class MomentsBundle:
 
 def moments_bundle(K: bd.SupportBody, rule: SphereRule | None = None) -> MomentsBundle:
     s = polar_sample(K, rule)
-    a = s.integral(RayPolynomial.constant(1.0))
-    m2 = s.integral(RayPolynomial.abs_x_power(2)).over(a)
-    m4 = s.integral(RayPolynomial.abs_x_power(4)).over(a)
-    gK2 = s.integral(RayPolynomial.gauge_power(2)).over(a)
-    gK1 = s.integral(RayPolynomial.gauge_power(1)).over(a)
-    var_x2 = m4 - m2.times(m2)
-    return MomentsBundle(K=K, a=a, m2=m2, m4=m4, gK2=gK2, gK1=gK1,
-                         var_x2=var_x2, sample=s)
+    a, x2, x4, g2, g1 = s.integrals(
+        RayPolynomial.constant(1.0), RayPolynomial.abs_x_power(2),
+        RayPolynomial.abs_x_power(4), RayPolynomial.gauge_power(2),
+        RayPolynomial.gauge_power(1))
+    m2, m4 = x2.over(a), x4.over(a)
+    return MomentsBundle(K=K, a=a, m2=m2, m4=m4, gK2=g2.over(a), gK1=g1.over(a),
+                         var_x2=m4 - m2.times(m2), sample=s)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,17 @@ closed forms, with numpy on arrays and with the math module on scalars:
   U_p(R) = J_p(inf) - J_p(R) is closed: e^{-R^2/2} times a polynomial in
   R, plus a multiple of erfc(R/sqrt 2) for even p.  J_p is the positive
   power series up to R^2 = p + 1 (past the median) and J_p(inf) - U_p
-  beyond, so it is accurate relative to itself down to R -> 0;
+  beyond, so it is accurate relative to itself down to R -> 0.  A table
+  of consecutive orders (``j_lower_orders``) takes the top two from that
+  kernel and the rest from the downward recurrence
+  J_p = (J_{p+2} + g_{p+1}) / (p + 1), whose terms are all positive;
 - the inverses of J_p are closed for p = 0, 1, and otherwise Householder
   steps on J_p, or on U_p above the median, so they stay accurate
   relative to 1 - q as the fraction q -> 1.
 
 Measured against mpmath at 40 digits (``tests/test_specfun.py``), psi,
-phi, their inverses, j_lower and j_inverse_regularized stay within 2e-15
-relative.  Inverses raise :class:`DomainError` where the result would be
+phi, their inverses, j_lower, j_lower_orders and j_inverse_regularized
+stay within 2e-15 relative.  Inverses raise :class:`DomainError` where the result would be
 infinite instead of returning ``inf``.
 
 All functions accept scalars or numpy arrays and return matching shapes.
@@ -529,6 +532,43 @@ def j_lower(p: int, R) -> np.ndarray | float:
     if _any(RR < 0):
         raise DomainError("j_lower requires R >= 0")
     return _apply(_j_lower, RR, k)
+
+
+def j_lower_orders(p: int, q: int, R) -> np.ndarray:
+    """Rows J_p(R), J_{p+1}(R), ..., J_q(R) for integers 0 <= p <= q.
+
+    Only J_q and J_{q-1} come from the kernel (``j_lower``).  Each lower
+    order follows from the one two above it by integration by parts,
+
+        J_k(R) = (J_{k+2}(R) + g_{k+1}(R)) / (k + 1),
+
+    whose terms are both positive: nothing cancels, and an error carried
+    down shrinks by the weight J_{k+2} / (J_{k+2} + g_{k+1}) < 1 at each
+    step.  Like ``j_lower``, every row is exactly 0 at R = 0 and exactly
+    j_total at R = inf.  The result has shape (q - p + 1,) + shape(R).
+    """
+    lo, hi = _order(p), _order(q)
+    if lo > hi:
+        raise DomainError(f"j_lower_orders needs p <= q, got {p!r} > {q!r}")
+    RR = _arg(R)
+    if _any(RR < 0):
+        raise DomainError("j_lower_orders requires R >= 0")
+    rows = [None] * (hi - lo + 1)
+    for k in range(max(lo, hi - 1), hi + 1):
+        rows[k - lo] = j_lower(k, RR)
+    if hi - lo >= 2:
+        Rc = _min(RR, _T_MAX)
+        g_k = _exp(-0.5 * Rc * Rc) * Rc ** (lo + 1)  # g_{lo+1}; 0, not inf * 0, at R = inf
+        g = [g_k]
+        for _ in range(lo + 2, hi):
+            g_k = g_k * Rc
+            g.append(g_k)
+        far = RR >= _T_MAX
+        for k in range(hi - 2, lo - 1, -1):
+            row = (rows[k + 2 - lo] + g[k - lo]) / (k + 1)
+            # beyond _T_MAX the kernel's rows are the totals; keep them exact
+            rows[k - lo] = _where(far, _j_total(k), row) if _any(far) else row
+    return np.array(rows)
 
 
 def j_inverse(p: int, y) -> np.ndarray | float:

@@ -140,11 +140,7 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
     P = np.asarray(gauge_poly, dtype=float)
     if abs(np.polyval(P[::-1], 1.0)) > 1e-10:
         raise ValueError("test function must vanish on the boundary: P(1) = 0")
-    s = gm.polar_sample(K, rule)
-    a = s.integral(gm.RayPolynomial.constant(1.0))
     v = gm.RayPolynomial({((), 0, j): c for j, c in enumerate(P)})
-    fv = s.integral(F * v).over(a)
-
     dP = np.array([j * P[j] for j in range(1, len(P))])
     b = np.convolve(dP, dP) if len(dP) else np.zeros(1)
 
@@ -155,7 +151,9 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
             out[:, m] = b[m] * q**m * (q**2 + grad_tan2)
         return out
 
-    grad2 = s.integral(cf).over(a)
+    a, fv, grad2 = gm.polar_sample(K, rule).integrals(
+        gm.RayPolynomial.constant(1.0), F * v, cf)
+    fv, grad2 = fv.over(a), grad2.over(a)
     if grad2.value <= 0:
         raise TorsionFailure("degenerate gradient energy")
     quotient = fv.times(fv).over(grad2)

@@ -348,11 +348,10 @@ def gauss_main_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None,
     r = bd.inradius(K)
     if r is None or not np.isfinite(r):
         raise VerificationError("in-radius unavailable for this body")
-    s = gm.polar_sample(K, rule)
-    a = s.integral(gm.RayPolynomial.constant(1.0))
-    ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
-    g2 = s.integral(gm.RayPolynomial.gauge_power(2)).over(a)
-    g4 = s.integral(gm.RayPolynomial.gauge_power(4)).over(a)
+    a, ex2, g2, g4 = gm.polar_sample(K, rule).integrals(
+        gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2),
+        gm.RayPolynomial.gauge_power(2), gm.RayPolynomial.gauge_power(4))
+    ex2, g2, g4 = ex2.over(a), g2.over(a), g4.over(a)
     m = g2.value
     V = g4.value - m * m
     if not 0.0 < m < 1.0:
@@ -400,9 +399,9 @@ def corT1_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None) -> dict:
     else:
         t_res = tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0),
                                         F_label="const1")
-    s = gm.polar_sample(K, rule)
-    a = s.integral(gm.RayPolynomial.constant(1.0))
-    ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
+    a, ex2 = gm.polar_sample(K, rule).integrals(
+        gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2))
+    ex2 = ex2.over(a)
     value = 2.0 * t_res.value + 1.0 / _second_moment_margin(K.n, ex2.value)
     return {"value": float(value), "torsion": t_res, "ex2": float(ex2.value),
             "torsion_kind": t_res.kind}
@@ -422,10 +421,10 @@ def minkowski_first_check(K: bd.SupportBody, L: bd.SupportBody,
     """
     if K.n != L.n:
         raise VerificationError("dimension mismatch")
-    sK = gm.polar_sample(K, rule)
-    aK = sK.integral(gm.RayPolynomial.constant(1.0))
+    aK, ex2 = gm.polar_sample(K, rule).integrals(
+        gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2))
+    ex2 = ex2.over(aK)
     aL = gm.measure(L, rule)
-    ex2 = sK.integral(gm.RayPolynomial.abs_x_power(2)).over(aK)
     lhs = gm.gamma_one(K, L, rule=rule)
     nm = _second_moment_margin(K.n, ex2.value)
     p = 1.0 / nm
@@ -461,11 +460,9 @@ def brascamp_lieb_check(K: bd.SupportBody, f: MultiPoly,
             raise VerificationError("even-half mode requires an even f")
         if not K.symmetric:
             raise VerificationError("even-half mode requires a symmetric K")
-    s = gm.polar_sample(K, rule)
-    a = s.integral(gm.RayPolynomial.constant(1.0))
-    ef = s.integral(f).over(a)
-    ef2 = s.integral(f * f).over(a)
-    eg2 = s.integral(f.grad_sq()).over(a)
+    a, ef, ef2, eg2 = gm.polar_sample(K, rule).integrals(
+        gm.RayPolynomial.constant(1.0), f, f * f, f.grad_sq())
+    ef, ef2, eg2 = ef.over(a), ef2.over(a), eg2.over(a)
     var = ef2.value - ef.value ** 2
     const = 0.5 if mode == "gaussian_even_half" else 1.0
     bound = const * eg2.value
@@ -486,12 +483,10 @@ def propgauss_check(K: bd.SupportBody, u: MultiPoly,
         raise VerificationError("u must be even")
     if u.n != K.n:
         raise VerificationError("dimension mismatch")
-    s = gm.polar_sample(K, rule)
-    a = s.integral(gm.RayPolynomial.constant(1.0))
-    hess = s.integral(u.hessian_frob_sq()).over(a)
-    grad = s.integral(u.grad_sq()).over(a)
-    ex2 = s.integral(gm.RayPolynomial.abs_x_power(2)).over(a)
-    lu = s.integral(u.laplacian() - u.euler()).over(a)
+    a, hess, grad, ex2, lu = gm.polar_sample(K, rule).integrals(
+        gm.RayPolynomial.constant(1.0), u.hessian_frob_sq(), u.grad_sq(),
+        gm.RayPolynomial.abs_x_power(2), u.laplacian() - u.euler())
+    hess, grad, ex2, lu = hess.over(a), grad.over(a), ex2.over(a), lu.over(a)
     rhs = grad.value + lu.value ** 2 / _second_moment_margin(K.n, ex2.value)
     slack = hess.value - rhs
     err = hess.err + grad.err + 2.0 * abs(lu.value) * lu.err + ex2.err
@@ -626,7 +621,8 @@ def s_inequality_check(K: bd.SupportBody, ts=(1.0, 1.2, 1.5, 2.0, 3.0),
     w = float(sf.phi_inv(a.value))
     rows = []
     for t in ts:
-        at = gm.measure(bd.dilate(K, float(t)), rule)
+        # dilate(K, 1) is K itself, already measured
+        at = a if t == 1.0 else gm.measure(bd.dilate(K, float(t)), rule)
         strip_val = float(sf.phi(t * w))
         rows.append({
             "t": float(t), "dilated": float(at.value), "strip": strip_val,

@@ -1,5 +1,7 @@
 """Moment layer: polar quadrature vs closed forms, error-bound honesty, MC."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,29 +138,65 @@ class TestRayIntegral:
         assert est.value == pytest.approx(1.0, rel=1e-9)
 
 
-# bd.radial calls for a box on a 256-point rule: one per rule, the full and
-# the half rule for n=2 and the full rule only for the n=4 Monte Carlo rule;
-# the suite adds three shifted bodies, and the Rayleigh quotient adds two
-# perturbed-direction calls per tangent axis and rule
+# bd.radial calls for a box on a 256-point rule: one per sample, on the rule
+# stacked with its half rule (n=2; the n=4 Monte Carlo rule has none); the
+# suite adds three shifted bodies, and the Rayleigh quotient adds two
+# perturbed-direction calls per tangent axis
 RADIAL_CALLS = {
-    2: {"moments_bundle": 2, "moment_inequality_suite": 8,
-        "gauss_main_bound": 2, "rayleigh": 6},
+    2: {"moments_bundle": 1, "moment_inequality_suite": 4,
+        "gauss_main_bound": 1, "rayleigh": 3},
     4: {"moments_bundle": 1, "moment_inequality_suite": 4,
         "gauss_main_bound": 1, "rayleigh": 7},
 }
 
 
+def _support_only(K):
+    """K with its closed-form radial and in-radius withheld."""
+    return dataclasses.replace(K, exact_radial=None, exact_inradius=None,
+                               kind="generic", params=(), label="support-only")
+
+
+def _separate_rule_integrals(K, rule, fs):
+    """(value, err) of each f with rho evaluated apart on the rule and on
+    its half rule, and one J table per rule."""
+    rules = [rule] if K.n == 4 else [rule, gm.sphere_rule(K.n, rule.size // 2)]
+    sums = []
+    for r in rules:
+        rho = np.asarray(bd.radial(K, r.points), dtype=float)
+        A = [f.coeffs(r.points, rho) for f in fs]
+        J = sf.j_lower_orders(K.n - 1, K.n - 1 + max(a.shape[1] for a in A) - 1, rho)
+        per_dir = [sum(a[:, j] * J[j] for j in range(a.shape[1])) for a in A]
+        norm = (2.0 * np.pi) ** (-K.n / 2.0)
+        sums.append([(float(norm * r.weight * np.sum(d)), d) for d in per_dir])
+    out = []
+    for i in range(len(fs)):
+        val, per_dir = sums[0][i]
+        if K.n == 4:
+            scale = (2.0 * np.pi) ** (-2.0) * bd.sphere_area(4)
+            err = 3.0 * scale * float(np.std(per_dir)) / np.sqrt(rule.size)
+        else:
+            err = abs(val - sums[1][i][0])
+        out.append((val, err + 1e-13 * max(1.0, abs(val))))
+    return out
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 class TestPolarSample:
     @pytest.mark.parametrize("n", [2, 4])
     def test_radial_evaluated_once_per_rule(self, n, monkeypatch):
-        calls = []
-        radial = bd.radial
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].label)
-            return radial(*args, **kwargs)
-
-        monkeypatch.setattr(bd, "radial", counting)
+        calls = counting(monkeypatch, bd, "radial")
         K = bd.box([0.8 + 0.1 * i for i in range(n)], n)
         rule = gm.sphere_rule(n, 256)
         runs = {
@@ -174,6 +212,43 @@ class TestPolarSample:
             run()
             counts[name] = len(calls)
         assert counts == RADIAL_CALLS[n]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_j_table_per_sample(self, n, monkeypatch):
+        # the kernel runs for the table's top two orders only, and a
+        # degree-0 integral needs just one
+        calls = counting(monkeypatch, sf, "j_lower")
+        K = bd.box([0.8 + 0.1 * i for i in range(n)], n)
+        b = gm.moments_bundle(K, gm.sphere_rule(n, 256))
+        b.dir1(np.eye(n)[0])
+        b.dir2(np.eye(n)[0])
+        assert len(calls) <= 2
+        calls.clear()
+        gm.measure(K, gm.sphere_rule(n, 256))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_sample_matches_separate_rules(self, n):
+        bodies = [
+            bd.box([0.8 + 0.1 * i for i in range(n)], n),
+            bd.catalog("ellipsoid", n, c=[0.7 + 0.3 * i for i in range(n)]),
+            bd.cylinder(n - 1, 0.9, n),
+            bd.translate(bd.ball(1.0, n), np.r_[0.3, np.zeros(n - 1)]),
+            _support_only(bd.box([0.9] * (n - 1) + [1.1], n)),
+        ]
+        fs = [gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2),
+              gm.RayPolynomial.abs_x_power(4), gm.RayPolynomial.gauge_power(2),
+              gm.RayPolynomial.dot_power(np.eye(n)[0], 1)]
+        rule = gm.sphere_rule(n, 128 if n < 4 else 256)
+        for K in bodies:
+            got = gm.polar_sample(K, rule).integrals(*fs)
+            want = _separate_rule_integrals(K, rule, fs)
+            for g, (value, err) in zip(got, want):
+                if n == 4:
+                    assert (g.value, g.err) == (value, err), K.label
+                else:
+                    assert g.value == pytest.approx(value, rel=1e-15, abs=1e-300), K.label
+                    assert g.err == pytest.approx(err, rel=1e-15, abs=1e-300), K.label
 
 
 class TestGammaOne:

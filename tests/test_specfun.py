@@ -215,6 +215,25 @@ class TestAgainstMpmath:
                     ref = total * lower_gamma_reg(mp.mpf(p + 1) / 2, x)
                     assert rel_err(v, ref) <= REL, R
 
+    @pytest.mark.parametrize("q", range(10))
+    def test_j_lower_orders(self, q):
+        # rows 0..q: the kernel at q and q - 1, the recurrence below them;
+        # one array of more than 16 points and one scalar at a time
+        batch_table = sf.j_lower_orders(0, q, np.array(R_POINTS * 2))
+        for i, R in enumerate(R_POINTS):
+            batch, single = batch_table[:, i], sf.j_lower_orders(0, q, R)
+            assert single.shape == (q + 1,)
+            for p in range(q + 1):
+                for v in (batch[p], single[p]):
+                    if R == 0.0:
+                        assert v == 0.0
+                    elif R == np.inf:
+                        assert v == sf.j_total(p)
+                    else:
+                        total = mp.gamma(mp.mpf(p + 1) / 2) * mp.mpf(2) ** (mp.mpf(p - 1) / 2)
+                        ref = total * lower_gamma_reg(mp.mpf(p + 1) / 2, mp.mpf(R) ** 2 / 2)
+                        assert rel_err(v, ref) <= REL, (p, R)
+
     @pytest.mark.parametrize("p", range(9))
     def test_j_inverse_regularized_relative_to_one_minus_q(self, p):
         a = mp.mpf(p + 1) / 2
