@@ -18,10 +18,14 @@ The dimensionless concavity power of the cylinder along its own family is
 ``ps_cylinder(k, a) = 1 + a * phi_k(a)``.
 
 ``partition`` tabulates, on a grid of measures, which k minimizes phi_k
-and which minimizes s_k; the two argmin families do *not* coincide, which
-is exactly why the transform glued from perimeter minimizers
-(``bad_transform``) fails while the one glued from phi minimizers
-(``conjecture_F``) is the conjectured extremal transform:
+and which minimizes s_k, both rows of each k from one inversion of R_k.
+Where an argmin switches between grid points, the crossing is solved by
+Newton steps bracketed by those points, on the closed-form derivatives
+R_k' = 1/s_k, s_k' = -phi_k s_k and phi_k' = dphi_k/dR R_k'; each family's
+crossings are solved on first access.  The two argmin families do *not*
+coincide, which is exactly why the transform glued from perimeter
+minimizers (``bad_transform``) fails while the one glued from phi
+minimizers (``conjecture_F``) is the conjectured extremal transform:
 
     F(a) = int_0^a exp( int_{1/2}^t  min_k phi_k(s) ds ) dt.
 
@@ -47,8 +51,8 @@ which absorbs the t^{-(n-1)/n} blow-up at 0, and in -log(1 - t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,8 +81,7 @@ def measure_of_radius(k: int, R) -> np.ndarray | float:
 
 def perimeter_s(k: int, a) -> np.ndarray | float:
     """Gaussian surface density s_k(a) = g_{k-1}(R_k(a)) / J_{k-1}(inf)."""
-    R = radius_of_measure(k, a)
-    return sf.g(k - 1, R) / sf.j_total(k - 1)
+    return _s_at(k, radius_of_measure(k, a))
 
 
 def phi_k(k: int, a) -> np.ndarray | float:
@@ -87,8 +90,35 @@ def phi_k(k: int, a) -> np.ndarray | float:
     Here c = J_{k-1}(inf) and R = R_k(a).  Negative for small a when
     k >= 2, increasing through 0 at R = sqrt(k-1), and unbounded as a -> 1.
     """
-    R = radius_of_measure(k, a)
+    return _phi_at(k, radius_of_measure(k, a))
+
+
+def _s_at(k: int, R):
+    """s_k at the radius R = R_k(a)."""
+    return sf.g(k - 1, R) / sf.j_total(k - 1)
+
+
+def _phi_at(k: int, R):
+    """phi_k at the radius R = R_k(a)."""
     return sf.j_total(k - 1) * (R**2 - (k - 1)) / sf.g(k, R)
+
+
+def _s_and_slope(k: int, a: float) -> tuple[float, float]:
+    """s_k(a) and s_k'(a) = -phi_k s_k = (k - 1 - R^2) / R, one R_k inversion."""
+    R = radius_of_measure(k, a)
+    return _s_at(k, R), (k - 1 - R**2) / R
+
+
+def _phi_and_slope(k: int, a: float) -> tuple[float, float]:
+    """phi_k(a) and phi_k'(a), one R_k inversion.
+
+    With c = J_{k-1}(inf), R' = 1/s_k = c / g_{k-1}(R) and
+    d phi_k / dR = c [2R - (R^2 - k + 1)(k/R - R)] / g_k(R).
+    """
+    R = radius_of_measure(k, a)
+    c, g_k = sf.j_total(k - 1), sf.g(k, R)
+    dR = c / sf.g(k - 1, R)
+    return _phi_at(k, R), c * (2 * R - (R**2 - k + 1) * (k / R - R)) / g_k * dR
 
 
 def ps_cylinder(k: int, a) -> np.ndarray | float:
@@ -151,7 +181,8 @@ class PartitionTable:
 
     ``crossings_*`` list refined abscissas (a, k_left, k_right) where the
     argmin switches between consecutive grid points.  Ties at a grid point
-    resolve to the smaller k.
+    resolve to the smaller k.  Each list is solved on first access, so a
+    caller that reads only the grid argmins solves no crossing.
     """
 
     n: int
@@ -162,29 +193,67 @@ class PartitionTable:
     s_argmin: np.ndarray
     phi_min: np.ndarray
     s_min: np.ndarray
-    crossings_phi: list[tuple[float, int, int]] = field(default_factory=list)
-    crossings_s: list[tuple[float, int, int]] = field(default_factory=list)
 
     @property
     def mismatch(self) -> np.ndarray:
         """Mask of grid points where the two argmin families disagree."""
         return self.phi_argmin != self.s_argmin
 
+    @cached_property
+    def crossings_phi(self) -> list[tuple[float, int, int]]:
+        return _crossings(self.a, self.phi_values, self.phi_argmin, _phi_and_slope)
 
-def _bisect_cross(f, lo: float, hi: float, iters: int = 80) -> float:
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+    @cached_property
+    def crossings_s(self) -> list[tuple[float, int, int]]:
+        return _crossings(self.a, self.s_values, self.s_argmin, _s_and_slope)
+
+
+def _newton_cross(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f in [lo, hi], given its values f_lo and f_hi of opposite sign.
+
+    ``f(x)`` returns the value and the derivative.  Newton steps start at
+    the secant point of the ends; a step that would leave the bracket, or a
+    zero derivative, becomes a bisection step instead.  Each evaluation
+    shrinks the bracket to the side that keeps the sign change.  It stops
+    when a step or the bracket is within 1e-15, or after 60 evaluations.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    lo_negative = f_lo < 0
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    for _ in range(60):
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == lo_negative:
+            lo = x
         else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+            hi = x
+        nxt = x - fx / dfx if dfx != 0.0 else None
+        if nxt is None or not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= 1e-15 or hi - lo <= 1e-15:
+            return nxt
+        x = nxt
+    return x
+
+
+def _crossings(a, values, argmin, value_and_slope) -> list[tuple[float, int, int]]:
+    """Where the argmin over the rows of ``values`` switches, solved off the grid."""
+    out = []
+    for i in np.flatnonzero(argmin[1:] != argmin[:-1]):
+        kl, kr = int(argmin[i]), int(argmin[i + 1])
+
+        def diff(t, kl=kl, kr=kr):
+            (vl, dl), (vr, dr) = value_and_slope(kl, t), value_and_slope(kr, t)
+            return vl - vr, dl - dr
+
+        d = values[kl - 1] - values[kr - 1]
+        out.append((_newton_cross(diff, float(a[i]), float(a[i + 1]),
+                                  float(d[i]), float(d[i + 1])), kl, kr))
+    return out
 
 
 def partition(n: int, grid=None) -> PartitionTable:
@@ -194,32 +263,18 @@ def partition(n: int, grid=None) -> PartitionTable:
     a = np.asarray(grid, dtype=float)
     if a.ndim != 1 or np.any(a <= 0) or np.any(a >= 1):
         raise sf.DomainError("partition grid must lie strictly inside (0,1)")
-    phiv = np.vstack([phi_k(k, a) for k in range(1, n + 1)])
-    sv = np.vstack([perimeter_s(k, a) for k in range(1, n + 1)])
-    phi_arg = np.argmin(phiv, axis=0) + 1
-    s_arg = np.argmin(sv, axis=0) + 1
-
-    def crossings(values_fn, argmin):
-        out = []
-        for i in range(len(a) - 1):
-            kl, kr = int(argmin[i]), int(argmin[i + 1])
-            if kl == kr:
-                continue
-            diff = lambda t: float(values_fn(kl, t) - values_fn(kr, t))
-            out.append((_bisect_cross(diff, a[i], a[i + 1]), kl, kr))
-        return out
-
+    radii = [radius_of_measure(k, a) for k in range(1, n + 1)]
+    phiv = np.vstack([_phi_at(k, R) for k, R in enumerate(radii, 1)])
+    sv = np.vstack([_s_at(k, R) for k, R in enumerate(radii, 1)])
     return PartitionTable(
         n=n,
         a=a,
         phi_values=phiv,
         s_values=sv,
-        phi_argmin=phi_arg,
-        s_argmin=s_arg,
+        phi_argmin=np.argmin(phiv, axis=0) + 1,
+        s_argmin=np.argmin(sv, axis=0) + 1,
         phi_min=np.min(phiv, axis=0),
         s_min=np.min(sv, axis=0),
-        crossings_phi=crossings(phi_k, phi_arg),
-        crossings_s=crossings(perimeter_s, s_arg),
     )
 
 
@@ -390,6 +445,12 @@ def _weak(n: int) -> ExpIntegralTransform:
     return ExpIntegralTransform(n)
 
 
+@lru_cache(maxsize=None)
+def _bad(n: int) -> PiecewiseRadius:
+    table = partition(n)
+    return _glued_radius(table.crossings_s, table.s_argmin[0], match_slope=False)
+
+
 def conjecture_F(n: int, a) -> np.ndarray | float:
     """Conjectured extremal transform built from the pointwise min of phi_k.
 
@@ -421,5 +482,4 @@ def bad_transform(n: int) -> PiecewiseRadius:
     for continuity; the first piece is anchored at zero.  It is expected
     NOT to produce a concave composition.
     """
-    table = partition(n)
-    return _glued_radius(table.crossings_s, table.s_argmin[0], match_slope=False)
+    return _bad(int(n))

@@ -107,9 +107,9 @@ class MultiPoly(gm.RayPolynomial):
 
     def hessian_frob_sq(self) -> "MultiPoly":
         out = MultiPoly(self.n, {})
-        for i in range(self.n):
+        for d_i in [self.diff(i) for i in range(self.n)]:
             for j in range(self.n):
-                d = self.diff(i).diff(j)
+                d = d_i.diff(j)
                 out = out + d * d
         return out
 

@@ -433,3 +433,18 @@ def test_script_loads_and_shows_help(path, capsys):
         module.main(["--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_partition_scan_writes_the_library_crossings(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "script_partition_scan", ROOT / "scripts" / "partition_scan.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--max-n", "3", "--grid", "199", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert sorted(summary) == ["2", "3"]
+    for n in (2, 3):
+        table = cyl.partition(n)
+        assert summary[str(n)]["crossings_phi"] == [list(c) for c in table.crossings_phi]
+        assert summary[str(n)]["crossings_s"] == [list(c) for c in table.crossings_s]
+        assert (tmp_path / f"partition_n{n}.csv").exists()

@@ -7,8 +7,23 @@ from scipy.optimize import brentq
 
 from gausscvx import cylinder as cyl
 from gausscvx import specfun as sf
+from gausscvx import verify as vf
 
 import oracles
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
 
 # frozen n=2 crossing abscissas, computed independently below with brentq
 S_CROSS_N2 = 0.7062610461
@@ -298,16 +313,34 @@ class TestPartition:
         assert a_phi == pytest.approx(PHI_CROSS_N2, abs=1e-9)
         assert a_s == pytest.approx(S_CROSS_N2, abs=1e-9)
 
-    def test_bisect_cross_evaluates_once_per_step(self):
+    def test_newton_cross_stays_in_bracket_when_newton_overshoots(self):
+        # from the secant start (about 0.48) the Newton step of the arctan
+        # lands far left of 0, so the solver must bisect instead
+        def f(t):
+            u = 20.0 * (t - 0.3)
+            return np.arctan(u), 20.0 / (1.0 + u * u)
+
         calls = []
 
-        def f(t):
+        def counted(t):
             calls.append(t)
-            return t - 0.3
+            return f(t)
 
-        root = cyl._bisect_cross(f, 0.0, 1.0, iters=20)
-        assert len(calls) <= 21
-        assert root == pytest.approx(0.3, abs=2.0**-20)
+        root = cyl._newton_cross(counted, 0.0, 1.0, np.arctan(-6.0), np.arctan(14.0))
+        newton = [t - v / d for t in calls for v, d in [f(t)]]
+        assert any(not 0.0 <= x <= 1.0 for x in newton)
+        assert all(0.0 < t < 1.0 for t in calls)
+        assert abs(root - 0.3) <= 1e-15
+        assert len(calls) <= 10
+
+    def test_crossings_solved_on_first_access(self, monkeypatch):
+        calls = counting(monkeypatch, cyl, "_newton_cross")
+        table = cyl.partition(3)
+        assert calls == []
+        assert len(table.crossings_phi) == 1 and len(calls) == 1
+        assert len(table.crossings_s) == 2 and len(calls) == 3
+        assert table.crossings_phi is table.crossings_phi
+        assert len(calls) == 3
 
     def test_mismatch_window_exists(self):
         table = cyl.partition(2)
@@ -422,6 +455,38 @@ class TestTransforms:
             assert fd == pytest.approx(expected, rel=5e-5, abs=5e-7)
 
 
+class TestColdBuilds:
+    """A cold build inverts R_k n times on the grid and once per side for
+    each Newton step and each glued piece; each transform solves only its
+    own argmin family's crossings."""
+
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        cyl._conjecture.cache_clear()
+        cyl._bad.cache_clear()
+        yield counting(monkeypatch, sf, "j_inverse_regularized")
+        cyl._conjecture.cache_clear()
+        cyl._bad.cache_clear()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_conjecture_transform_inversions(self, n, cold):
+        cyl.conjecture_transform(n)
+        assert len(cold) <= 40
+
+    def test_bad_transform_inversions(self, cold):
+        cyl.bad_transform(4)
+        assert len(cold) <= 64
+
+    def test_bad_transform_built_once(self, cold):
+        assert cyl.bad_transform(3) is cyl.bad_transform(3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_counterexample_family_solves_no_crossing(self, n, monkeypatch):
+        calls = counting(monkeypatch, cyl, "_newton_cross")
+        assert len(vf.counterexample_family(n, "bad_func")) == 2
+        assert calls == []
+
+
 class TestBadTransform:
     def test_continuity_at_breaks(self):
         tr = cyl.bad_transform(2)
@@ -438,6 +503,28 @@ class TestBadTransform:
     def test_anchored_at_first_piece(self):
         tr = cyl.bad_transform(2)
         assert tr.value(0.3) == pytest.approx(cyl.radius_of_measure(2, 0.3), rel=1e-12)
+
+
+# crossings of the phi_1 = phi_n and s_{k+1} = s_k argmins, keyed by n and
+# by (k + 1, k).  Frozen from mpmath at 40 digits, rounded to 20: R_k(a) from
+# the regularized lower incomplete gamma equation P(k/2, R^2/2) = a, s_k and
+# phi_k as in NEAR_ONE_PROFILES, each crossing by findroot on the difference;
+# no gausscvx code.  s_k does not depend on n, so one value serves every n.
+PHI_CROSSINGS = {2: 0.98469418988877909965, 3: 0.9879312375788550279,
+                 4: 0.99018222365939577464}
+S_CROSSINGS = {(2, 1): 0.70626104607680352344, (3, 2): 0.64621372667198937766,
+               (4, 3): 0.61763484669715094288}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4], ids=lambda n: f"n={n}")
+def test_crossings_match_mpmath(n):
+    table = cyl.partition(n)
+    [(a_phi, k_left, k_right)] = table.crossings_phi
+    assert (k_left, k_right) == (n, 1)
+    assert abs(a_phi - PHI_CROSSINGS[n]) <= 1e-14
+    assert [c[1:] for c in table.crossings_s] == [(k, k - 1) for k in range(n, 1, -1)]
+    for a_s, k_left, k_right in table.crossings_s:
+        assert abs(a_s - S_CROSSINGS[k_left, k_right]) <= 1e-14, (k_left, k_right)
 
 
 @settings(max_examples=50, deadline=None)

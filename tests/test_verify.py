@@ -54,6 +54,16 @@ class TestMultiPoly:
         assert u.hessian_frob_sq()(x) == pytest.approx(
             4 * 0.8**2 + 8 * 1.3**2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hessian_frob_sq_terms_match_second_derivatives(self, n):
+        u = vf.random_even_quartic(n, np.random.default_rng(n))
+        expected = vf.MultiPoly(n, {})
+        for i in range(n):
+            for j in range(n):
+                d = u.diff(i).diff(j)
+                expected = expected + d * d
+        assert u.hessian_frob_sq().terms == expected.terms
+
     def test_parity(self):
         assert vf.MultiPoly.abs_sq(3).is_even
         assert not vf.MultiPoly.coord(3, 1).is_even
