@@ -467,17 +467,15 @@ def _grid_support(body: SupportBody):
     return grid, np.asarray(body.support(grid), dtype=float), delta
 
 
-def radial(body: SupportBody, theta, with_err: bool = False):
+def radial(body: SupportBody, theta):
     """Radial function rho(theta); exact oracle when present, else
     inf_u h(u)/<theta,u>.  Per chunk of directions, the generic path takes
     the quotients over the direction grid, refines every direction's 5 best
     grid seeds in one batched search (``_refine``), and keeps the smallest
-    value.  With ``with_err`` it also returns the heuristic grid-resolution
-    term rho delta^2 for the over-estimate (0 for exact oracles)."""
+    value."""
     t, single = _rows(theta, body.n)
     if body.exact_radial is not None:
         vals = np.asarray(body.exact_radial(t), dtype=float)
-        err = np.zeros_like(vals)
     else:
         grid, hvals, delta = _grid_support(body)
         k = min(5, len(grid))
@@ -492,10 +490,7 @@ def radial(body: SupportBody, theta, with_err: bool = False):
                           grid[seeds.ravel()], delta)
             vals[lo : lo + step] = np.minimum(q[np.arange(len(th)), seeds[:, 0]],
                                               ref.reshape(-1, k).min(axis=1))
-        err = vals * delta**2
-    if single:
-        return (float(vals[0]), float(err[0])) if with_err else float(vals[0])
-    return (vals, err) if with_err else vals
+    return float(vals[0]) if single else vals
 
 
 def _quotients(h, u, theta) -> np.ndarray:

@@ -341,7 +341,7 @@ def _check_saint_venant(cfg: RunConfig):
     k, R = K.params
     lhs = tor.torsion_radial(int(k), float(R), lambda r: np.ones_like(r),
                              F_label="const1")
-    a = float(sf.j_lower(k - 1, R) / sf.j_total(k - 1))
+    a = float(cyl.measure_of_radius(k, R))
     rhs = tor.torsion_halfspace(a)
     margin = rhs.value - lhs.value
     return (lhs.value, rhs.value, margin,

@@ -191,8 +191,6 @@ class PartitionTable:
     s_values: np.ndarray
     phi_argmin: np.ndarray  # values in 1..n
     s_argmin: np.ndarray
-    phi_min: np.ndarray
-    s_min: np.ndarray
 
     @property
     def mismatch(self) -> np.ndarray:
@@ -273,8 +271,6 @@ def partition(n: int, grid=None) -> PartitionTable:
         s_values=sv,
         phi_argmin=np.argmin(phiv, axis=0) + 1,
         s_argmin=np.argmin(sv, axis=0) + 1,
-        phi_min=np.min(phiv, axis=0),
-        s_min=np.min(sv, axis=0),
     )
 
 

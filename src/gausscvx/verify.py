@@ -421,11 +421,12 @@ def minkowski_first_check(K: bd.SupportBody, L: bd.SupportBody,
     """
     if K.n != L.n:
         raise VerificationError("dimension mismatch")
-    aK, ex2 = gm.polar_sample(K, rule).integrals(
+    sample = gm.polar_sample(K, rule)
+    aK, ex2 = sample.integrals(
         gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2))
     ex2 = ex2.over(aK)
     aL = gm.measure(L, rule)
-    lhs = gm.gamma_one(K, L, rule=rule)
+    lhs = gm.first_variation(sample, L)
     nm = _second_moment_margin(K.n, ex2.value)
     p = 1.0 / nm
     product = aK.value ** (1.0 - p) * aL.value ** p

@@ -221,7 +221,7 @@ def test_c14_first_variation_inequality_and_self_identity():
         assert out["slack"] >= -(3.0 * out["lhs_err"] + 1e-8), (K.label,
                                                                 L.label)
     for K in (bd.ball(1.1, 2), bd.box((0.8, 1.2), 2), bd.strip(0.9, 2)):
-        est = gm.gamma_one(K, K)
+        est = gm.first_variation(gm.polar_sample(K), K)
         b = gm.moments_bundle(K)
         ident = b.a.value * (K.n - b.m2.value)
         assert abs(est.value - ident) <= 1e-5 * abs(ident), K.label

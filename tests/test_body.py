@@ -81,9 +81,8 @@ class TestRadial:
     def test_exact_radial_used_when_available(self):
         K = bd.ball(1.4, 3)
         th = _unit([1.0, 2.0, -1.0])
-        r, err = bd.radial(K, th[None, :], with_err=True)
+        r = bd.radial(K, th[None, :])
         assert r[0] == pytest.approx(1.4, abs=1e-14)
-        assert err == 0.0
 
     def test_generic_support_path_agrees_with_exact(self):
         # strip the fast radial path and force the support-based refinement
@@ -153,9 +152,6 @@ class TestGenericRadial:
         r = bd.radial(G, th[0])
         assert type(r) is float
         assert r == bd.radial(G, th)[0]
-        val, err = bd.radial(G, th[0], with_err=True)
-        assert type(val) is float and type(err) is float
-        assert val == r and 0.0 < err < 1e-2 * r
 
 
 class TestMeasureHooks:

@@ -144,9 +144,9 @@ class TestRayIntegral:
 # perturbed-direction calls per tangent axis
 RADIAL_CALLS = {
     2: {"moments_bundle": 1, "moment_inequality_suite": 4,
-        "gauss_main_bound": 1, "rayleigh": 3},
+        "gauss_main_bound": 1, "rayleigh": 3, "minkowski_first_check": 4},
     4: {"moments_bundle": 1, "moment_inequality_suite": 4,
-        "gauss_main_bound": 1, "rayleigh": 7},
+        "gauss_main_bound": 1, "rayleigh": 7, "minkowski_first_check": 4},
 }
 
 
@@ -205,6 +205,8 @@ class TestPolarSample:
             "gauss_main_bound": lambda: vf.gauss_main_bound(K, rule),
             "rayleigh": lambda: tor.rayleigh(K, gm.RayPolynomial.constant(1.0),
                                              [1.0, 0.0, -1.0], rule),
+            "minkowski_first_check": lambda: vf.minkowski_first_check(
+                K, bd.dilate(K, 1.5), rule),
         }
         counts = {}
         for name, run in runs.items():
@@ -251,11 +253,23 @@ class TestPolarSample:
                     assert g.err == pytest.approx(err, rel=1e-15, abs=1e-300), K.label
 
 
-class TestGammaOne:
+def _first_variation(K, L):
+    return gm.first_variation(gm.polar_sample(K), L)
+
+
+def _box_plus_ball_slope(a):
+    """d/d eps gamma(box(a) + eps B) at 0: the Gaussian surface measure of
+    the box, sum_i 2 phi(a_i) prod_{j != i} erf(a_j / sqrt 2)."""
+    a = np.asarray(a, dtype=float)
+    faces = 2.0 * np.exp(-a**2 / 2.0) / np.sqrt(2.0 * np.pi)
+    return sum(faces[i] * oracles.box_measure(np.delete(a, i)) for i in range(len(a)))
+
+
+class TestFirstVariation:
     def test_ball_dilation_closed_form(self):
         # gamma(ball(R+eps)) has slope g_{n-1}(R) / c_{n-1} in eps
         for n, R in [(2, 1.0), (3, 0.8)]:
-            est = gm.gamma_one(bd.ball(R, n), bd.ball(1.0, n))
+            est = _first_variation(bd.ball(R, n), bd.ball(1.0, n))
             truth = sf.g(n - 1, R) / sf.j_total(n - 1)
             assert est.value == pytest.approx(truth, abs=max(1e-9, 3 * est.err))
 
@@ -263,16 +277,35 @@ class TestGammaOne:
         # d/dc gamma(cK) at c=1 equals gamma(K) (n - E|X|^2)
         for K in (bd.box((0.8, 1.2), 2), bd.ball(1.1, 2),
                   bd.catalog("ellipsoid", 2, c=(0.7, 1.5))):
-            est = gm.gamma_one(K, K)
+            est = _first_variation(K, K)
             b = gm.moments_bundle(K)
             truth = b.a.value * (K.n - b.m2.value)
             assert est.value == pytest.approx(truth, abs=max(1e-7, 3 * est.err))
 
     def test_monotone_in_added_body(self):
         K = bd.ball(1.0, 2)
-        small = gm.gamma_one(K, bd.ball(0.5, 2)).value
-        large = gm.gamma_one(K, bd.ball(2.0, 2)).value
+        small = _first_variation(K, bd.ball(0.5, 2)).value
+        large = _first_variation(K, bd.ball(2.0, 2)).value
         assert 0 < small < large
+
+    @pytest.mark.parametrize("n, bound", [(2, 1e-3), (3, 1e-3), (4, 1e-2)])
+    def test_box_plus_ball_within_err(self, n, bound):
+        # the integrand jumps at the box's edges, so the rule is only
+        # O(1/N); err must still cover the closed form
+        a = (0.7, 0.9, 1.1, 1.3)[:n]
+        est = _first_variation(bd.box(a, n), bd.ball(1.0, n))
+        assert abs(est.value - _box_plus_ball_slope(a)) <= est.err <= bound
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cylinder_dilation_within_err(self, n):
+        # rays along the cylinder's axes have rho = inf; the slope
+        # 1.5 gamma(K) (n - E|X|^2) of gamma((1 + 1.5 eps) K) is
+        # 1.5 R g_{k-1}(R) / c_{k-1} for K = cylinder(k, R)
+        k, R = n - 1, 0.9
+        K = bd.cylinder(k, R, n)
+        est = _first_variation(K, bd.dilate(K, 1.5))
+        truth = 1.5 * R * sf.g(k - 1, R) / sf.j_total(k - 1)
+        assert abs(est.value - truth) <= est.err
 
 
 class TestEstimateAlgebra:

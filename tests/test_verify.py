@@ -243,6 +243,14 @@ class TestMinkowskiFirst:
         assert out["rhs_weak"] <= out["rhs"] + 1e-12
         assert out["slack"] >= -(3 * out["lhs_err"] + 1e-8)
 
+    def test_unbounded_added_body_is_not_a_violation(self):
+        # ball + eps strip is a strip of half-width 1 + eps w for eps > 0,
+        # so gamma jumps at 0+ and the right derivative is +inf; a central
+        # difference through the strip 1 - eps w would read a slope
+        # below rhs
+        out = vf.minkowski_first_check(bd.ball(1.0, 2), bd.strip(0.5, 2))
+        assert out["slack"] > 0
+
 
 class TestBrascampLieb:
     def test_gaussian_variance_bound(self):
