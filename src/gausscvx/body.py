@@ -18,7 +18,9 @@ Closed interpolation rules (support sums):
   {x : ||(|x_act| - b)_+||_2 <= s}; along a direction, ||(t|theta_act| -
   b)_+||^2 is a piecewise quadratic in t with breakpoints b_i/|theta_i|,
   so its radial is the larger root on the segment where it reaches s^2;
-- proportional ellipsoids rescale componentwise.
+- any other dilate pair, L = cK as ``dilation_factor`` reads it from the
+  kinds and parameters (proportional ellipsoids, lp-balls of one p),
+  gives (1 - l + l c) K.
 
 Everything else falls back to the generic support oracle.
 
@@ -110,7 +112,7 @@ def cylinder(k: int, R: float, n: int) -> SupportBody:
         return np.where(tail <= 1e-12, R * head, np.inf)
 
     def rad(t):
-        head, _ = _axis_block(np.atleast_2d(t), k)
+        head = np.linalg.norm(np.atleast_2d(t)[:, :k], axis=1)
         with np.errstate(divide="ignore"):
             return np.where(head > 0, R / np.maximum(head, 1e-300), np.inf)
 
@@ -376,7 +378,10 @@ def catalog(name: str, n: int, **params) -> SupportBody:
     }
     if name not in makers:
         raise BodyError(f"unknown body {name!r}")
-    return makers[name]()
+    try:
+        return makers[name]()
+    except KeyError as e:
+        raise BodyError(f"body {name!r} needs parameter {e.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +630,37 @@ def _interp_rules(K: SupportBody, L: SupportBody, lam: float) -> SupportBody | N
                 np.asarray(a1, dtype=bool), n,
             )
         return None
-    if a.kind == "ellipsoid" and b.kind == "ellipsoid":
-        ca, cb = np.array(a.params), np.array(b.params)
-        ratio = cb / ca
-        if np.allclose(ratio, ratio[0], rtol=1e-12, atol=0):
-            return ellipsoid(la * ca + lb * cb, n)
+    c = dilation_factor(K, L)
+    if c is not None:
+        return dilate(K, 1.0 - lam + lam * c)
+    return None
+
+
+def dilation_factor(K: SupportBody, L: SupportBody) -> float | None:
+    """The c with L = cK, read from the catalog kinds and parameters; None
+    when the pair is not recognized as a dilate pair (different kinds or
+    shapes, translates, support-only bodies, generic dilates).  Vector
+    parameters must share one ratio to rtol 1e-12."""
+    if K.n != L.n or K.kind != L.kind:
         return None
+    if K.kind == "cylinder":
+        (kK, RK), (kL, RL) = K.params, L.params
+        return float(RL / RK) if kK == kL else None
+    if K.kind == "lp":
+        (rK, pK), (rL, pL) = K.params, L.params
+        return float(rL / rK) if pK == pL else None
+    if K.kind in ("box", "ellipsoid"):
+        return _common_ratio(L.params, K.params)
+    if K.kind == "roundbox":
+        (bK, sK, actK), (bL, sL, actL) = K.params, L.params
+        return _common_ratio(bL + (sL,), bK + (sK,)) if actK == actL else None
+    return None
+
+
+def _common_ratio(x: tuple, y: tuple) -> float | None:
+    ratio = np.asarray(x, dtype=float) / np.asarray(y, dtype=float)
+    if np.allclose(ratio, ratio[0], rtol=1e-12, atol=0):
+        return float(ratio[0])
     return None
 
 

@@ -31,6 +31,12 @@ so a batch of integrals (``PolarSample.integrals``) and the integrals that
 follow it at no higher degree reuse one table.  ``measure`` and
 ``ray_integral`` are one-shot forms over a fresh sample.
 
+``path_samples`` gives the samples along a Minkowski path
+(1 - t) K + t L.  When L is a dilate cK, rho_{K_t} = (1 - t + t c) rho_K
+exactly, so K is sampled once and each t gets the scaled sample
+(``PolarSample.dilated``) with its own J table; other pairs sample each
+``bd.interpolate`` body.
+
 ``first_variation`` integrates on the same table:
 d/d eps gamma(K + eps L) at 0+ is the polar integral of
 rho^n e^{-rho^2/2} c = (n J_{n-1}(rho) - J_{n+1}(rho)) c, where
@@ -297,6 +303,12 @@ class PolarSample:
         """``integrals`` of the one integrand f."""
         return self.integrals(f)[0]
 
+    def dilated(self, c: float) -> "PolarSample":
+        """The sample of cK, c > 0: the same rule and points, rho_{cK} =
+        c rho_K, and a J table of its own."""
+        return PolarSample(bd.dilate(self.K, c), self.rule, self.half, self.points,
+                           c * self.rho)
+
 
 def polar_sample(K: bd.SupportBody, rule: SphereRule | None = None) -> PolarSample:
     """Evaluate rho_K in one call on ``rule`` (default per dimension) and
@@ -305,6 +317,25 @@ def polar_sample(K: bd.SupportBody, rule: SphereRule | None = None) -> PolarSamp
     half = None if K.n == 4 else _half_rule(rule)
     points = rule.points if half is None else _stacked_points(rule.n, rule.size)
     return PolarSample(K, rule, half, points, np.asarray(bd.radial(K, points), dtype=float))
+
+
+def path_samples(K: bd.SupportBody, L: bd.SupportBody, t,
+                 rule: SphereRule | None = None):
+    """Yield the sample of (1 - t_i) K + t_i L on ``rule`` for each t_i.
+
+    When L = cK (``bd.dilation_factor``) every body on the path is
+    (1 - t_i + t_i c) K, and each sample is K's one sample scaled; other
+    pairs get one radial call per t_i on ``bd.interpolate``.  The samples
+    come one at a time, so a path holds one rho and one J table at once.
+    """
+    c = bd.dilation_factor(K, L)
+    if c is None:
+        for ti in t:
+            yield polar_sample(bd.interpolate(K, L, ti), rule)
+        return
+    base = polar_sample(K, rule)
+    for ti in t:
+        yield base.dilated(1.0 - ti + ti * c)
 
 
 def ray_integral(K: bd.SupportBody, f: RayPolynomial,

@@ -237,7 +237,8 @@ def _uniform_grid(grid, n_t: int) -> np.ndarray:
 
 
 def _path_measures(K, L, t, rule):
-    ests = [gm.measure(bd.interpolate(K, L, ti), rule) for ti in t]
+    one = gm.RayPolynomial.constant(1.0)
+    ests = [s.integral(one) for s in gm.path_samples(K, L, t, rule)]
     a = np.array([e.value for e in ests])
     aerr = np.array([e.err for e in ests])
     return a, aerr

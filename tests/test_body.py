@@ -284,6 +284,25 @@ class TestInterpolation:
         assert k == 2
         assert R == pytest.approx(0.5 * 0.8 + 0.5 * 1.7, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lp_pair_of_one_p_has_closed_rule(self, n):
+        # 0.7 lp(1) + 0.3 lp(1.5) = lp(1.15) for the same p
+        M = bd.interpolate(bd.lp_ball(1.0, 3.0, n), bd.lp_ball(1.5, 3.0, n), 0.3)
+        assert M.exact_radial is not None
+        thetas = _probe_directions(n, 23)
+        np.testing.assert_allclose(bd.radial(M, thetas),
+                                   bd.radial(bd.lp_ball(1.15, 3.0, n), thetas),
+                                   rtol=1e-15, atol=0)
+
+    def test_non_proportional_ellipsoids_use_support_sum(self):
+        K = bd.ellipsoid([0.8, 1.4])
+        L = bd.ellipsoid([1.6, 2.1])
+        M = bd.interpolate(K, L, 0.3)
+        assert M.kind == "generic" and M.exact_radial is None
+        u = _probe_directions(2, 29)
+        np.testing.assert_array_equal(M.support(u),
+                                      (1 - 0.3) * K.support(u) + 0.3 * L.support(u))
+
     def test_strip_absorbs_ball(self):
         # a strip interpolated with a ball is again a strip in the strip's
         # normal direction only at lam=0; in between it is a round box
@@ -487,6 +506,8 @@ class TestParsing:
             bd.parse_body("ball", 2)
         with pytest.raises(bd.BodyError):
             bd.catalog("cylinder", 2, k=5, R=1.0)
+        with pytest.raises(bd.BodyError, match="'w'"):
+            bd.parse_body("strip:R=0.5", 2)
 
 
 @settings(max_examples=30, deadline=None)

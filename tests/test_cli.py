@@ -356,6 +356,14 @@ class TestUsageErrors:
         assert code == 2
         assert "origin" in err and out == ""
 
+    def test_missing_body_parameter(self, capsys, tmp_path):
+        # a strip takes w; the usage error names it instead of a traceback
+        code, out, err = run(["verify", "--check", "moments", "--n", "2",
+                              "--body", "strip:R=0.5", "--out-dir", str(tmp_path)],
+                             capsys)
+        assert code == 2
+        assert "'w'" in err and out == ""
+
     def test_unsupported_dimension(self, capsys, tmp_path):
         code, _, err = run(["measure", "--n", "5", "--out-dir", str(tmp_path)],
                            capsys)

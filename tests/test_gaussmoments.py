@@ -253,6 +253,84 @@ class TestPolarSample:
                     assert g.err == pytest.approx(err, rel=1e-15, abs=1e-300), K.label
 
 
+def _dilate_bases(n):
+    """One body of every kind that dilates within its kind."""
+    box = bd.box([0.8 + 0.1 * i for i in range(n)], n)
+    return [bd.ball(0.9, n), bd.strip(0.7, n), bd.cylinder(n - 1, 0.8, n), box,
+            bd.lp_ball(1.0, 3.0, n), bd.ellipsoid([0.7 + 0.3 * i for i in range(n)], n),
+            bd.interpolate(box, bd.ball(1.0, n), 0.4)]
+
+
+def _non_dilate_pairs(n):
+    """(K, L, rule size); the ellipsoid pair takes the generic radial at
+    every t, so it runs on a small rule."""
+    return [(bd.box([0.8 + 0.1 * i for i in range(n)], n), bd.cylinder(1, 1.0, n), 256),
+            (bd.cylinder(1, 0.8, n), bd.cylinder(2, 1.1, n), 256),
+            (bd.ellipsoid([0.7 + 0.3 * i for i in range(n)], n),
+             bd.ellipsoid([1.2] + [0.9] * (n - 1), n), 16)]
+
+
+PATH_T = (np.arange(9) + 1.0) / 10.0
+ONE = gm.RayPolynomial.constant(1.0)
+
+
+class TestPathSamples:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dilate_paths_match_interpolation(self, n):
+        # the scaled sample and the interpolated body's own radial differ
+        # in rounding only; err's half-rule difference is itself at the
+        # rounding level of the value for smooth integrands, so it is
+        # compared on the value's scale
+        rule = gm.sphere_rule(n, 256)
+        for K in _dilate_bases(n):
+            L = bd.dilate(K, 1.5)
+            for ti, s in zip(PATH_T, gm.path_samples(K, L, PATH_T, rule)):
+                got = s.integral(ONE)
+                want = gm.measure(bd.interpolate(K, L, ti), rule)
+                assert got.value == pytest.approx(want.value, rel=1e-14, abs=0), K.label
+                assert got.err == pytest.approx(want.err, rel=1e-14,
+                                                abs=1e-14 * want.value), K.label
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_non_dilate_paths_bit_identical(self, n):
+        for K, L, size in _non_dilate_pairs(n):
+            rule = gm.sphere_rule(n, size)
+            assert bd.dilation_factor(K, L) is None
+            for ti, s in zip(PATH_T, gm.path_samples(K, L, PATH_T, rule)):
+                got = s.integral(ONE)
+                want = gm.measure(bd.interpolate(K, L, ti), rule)
+                assert (got.value, got.err) == (want.value, want.err), K.label
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dilation_factor(self, n):
+        for K in _dilate_bases(n):
+            assert bd.dilation_factor(K, bd.dilate(K, 1.5)) == pytest.approx(1.5, rel=1e-15)
+            assert bd.dilation_factor(bd.dilate(K, 1.5), K) == pytest.approx(1 / 1.5,
+                                                                             rel=1e-15)
+        box = bd.box([0.8 + 0.1 * i for i in range(n)], n)
+        for K, L in [(bd.cylinder(1, 0.8, n), bd.cylinder(2, 1.2, n)),
+                     (bd.lp_ball(1.0, 3.0, n), bd.lp_ball(1.5, 4.0, n)),
+                     (box, bd.box([1.2] + [0.9] * (n - 1), n)),
+                     (box, bd.ball(1.0, n)),
+                     (bd.translate(bd.ball(1.0, n), np.r_[0.3, np.zeros(n - 1)]),
+                      bd.translate(bd.ball(1.5, n), np.r_[0.45, np.zeros(n - 1)])),
+                     (_support_only(box), _support_only(bd.dilate(box, 1.5))),
+                     (_support_only(box), bd.dilate(_support_only(box), 1.5))]:
+            assert bd.dilation_factor(K, L) is None, (K.label, L.label)
+
+    def test_dilate_path_makes_one_radial_call(self, monkeypatch):
+        calls = counting(monkeypatch, bd, "radial")
+        K = bd.box([0.8, 1.1, 1.3], 3)
+        vf.concavity_check("power:1", K, bd.dilate(K, 1.5), n_t=9)
+        assert len(calls) == 1
+        calls.clear()
+        vf.max_power(K, bd.dilate(K, 1.5), n_t=9)
+        assert len(calls) == 1
+        calls.clear()
+        vf.concavity_check("power:1", K, bd.cylinder(1, 1.0, 3), n_t=9)
+        assert len(calls) == 9
+
+
 def _first_variation(K, L):
     return gm.first_variation(gm.polar_sample(K), L)
 
