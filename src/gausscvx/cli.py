@@ -214,15 +214,8 @@ def cmd_torsion(cfg: RunConfig, args) -> int:
         res = tor.torsion_halfspace(args.halfspace)
         body_label = f"halfspace(a={args.halfspace:g})"
     else:
-        K = bd.parse_body(cfg.body, cfg.n)
+        res = tor.torsion_one(bd.parse_body(cfg.body, cfg.n))
         body_label = cfg.body
-        if K.kind == "cylinder":
-            k, R = K.params
-            res = tor.torsion_radial(int(k), float(R),
-                                     lambda r: np.ones_like(r), F_label="const1")
-        else:
-            res = tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0),
-                                          F_label="const1")
     _emit_json(cfg, "torsion", {"body": body_label, "value": res.value,
                                 "err": res.err, "kind": res.kind})
     return EXIT_PASS
@@ -338,10 +331,8 @@ def _check_saint_venant(cfg: RunConfig):
     if K.kind != "cylinder":
         raise vf.VerificationError(
             "exact torsion needs a strip/ball/cylinder body")
-    k, R = K.params
-    lhs = tor.torsion_radial(int(k), float(R), lambda r: np.ones_like(r),
-                             F_label="const1")
-    a = float(cyl.measure_of_radius(k, R))
+    lhs = tor.torsion_one(K)
+    a = float(cyl.measure_of_radius(*K.params))
     rhs = tor.torsion_halfspace(a)
     margin = rhs.value - lhs.value
     return (lhs.value, rhs.value, margin,

@@ -25,7 +25,7 @@ R_k' = 1/s_k, s_k' = -phi_k s_k and phi_k' = dphi_k/dR R_k'; each family's
 crossings are solved on first access.  The two argmin families do *not*
 coincide, which is exactly why the transform glued from perimeter
 minimizers (``bad_transform``) fails while the one glued from phi
-minimizers (``conjecture_F``) is the conjectured extremal transform:
+minimizers (``conjecture_transform``) is the conjectured extremal transform:
 
     F(a) = int_0^a exp( int_{1/2}^t  min_k phi_k(s) ds ) dt.
 
@@ -47,6 +47,11 @@ integrate to log(R_n(s) / s) and only the smooth first term needs
 quadrature.  ``ExpIntegralTransform`` integrates that term on
 piecewise-Chebyshev panels in s and -log(1 - s), then F in u = t^{1/n},
 which absorbs the t^{-(n-1)/n} blow-up at 0, and in -log(1 - t).
+
+Each transform is an object with a ``name``, a call F(a) and a
+``slope(a)`` = F'(a).  ``conjecture_transform(n)``, ``weak_transform(n)``
+and ``bad_transform(n)`` build ``conjecture_F``, ``weak_F`` and
+``bad_func`` once per n and return the same object after that.
 """
 
 from __future__ import annotations
@@ -289,6 +294,7 @@ class PiecewiseRadius:
     its right.  Since R_k' = 1/s_k, the slope is beta_k / s_k(a).
     """
 
+    name: str
     breaks: tuple[float, ...]
     ks: tuple[int, ...]
     betas: tuple[float, ...]
@@ -304,20 +310,20 @@ class PiecewiseRadius:
             out[on] = piece(i, k, flat[on])
         return float(out[0]) if aa.ndim == 0 else out
 
-    def value(self, a):
+    def __call__(self, a):
         def piece(i, k, x):
             return self.betas[i] * radius_of_measure(k, x) + self.alphas[i]
 
         return self._on_pieces(a, piece)
 
-    __call__ = value
-
     def slope(self, a):
         return self._on_pieces(a, lambda i, k, x: self.betas[i] / perimeter_s(k, x))
 
 
-def _glued_radius(crossings, k_first: int, match_slope: bool) -> PiecewiseRadius:
-    """beta_k R_k + alpha_k glued over the pieces that ``crossings`` cut.
+def _glued_radius(name: str, crossings, k_first: int,
+                  match_slope: bool) -> PiecewiseRadius:
+    """The transform ``name``, beta_k R_k + alpha_k glued over the pieces
+    that ``crossings`` cut.
 
     The alphas keep F continuous, with alpha = 0 on the first piece.  With
     ``match_slope`` the betas keep F' continuous with F'(1/2) = 1; without
@@ -337,7 +343,7 @@ def _glued_radius(crossings, k_first: int, match_slope: bool) -> PiecewiseRadius
     for (c, kl, kr), bl, br in zip(crossings, betas, betas[1:]):
         alphas.append(alphas[-1] + bl * radius_of_measure(kl, c)
                       - br * radius_of_measure(kr, c))
-    return PiecewiseRadius(breaks, ks, tuple(map(float, betas)),
+    return PiecewiseRadius(name, breaks, ks, tuple(map(float, betas)),
                            tuple(map(float, alphas)))
 
 
@@ -366,6 +372,8 @@ class ExpIntegralTransform:
     Everything is built here, once, so each value is a fixed function of
     its argument.
     """
+
+    name = "weak_F"
 
     def __init__(self, n: int):
         self.n = n = int(n)
@@ -431,51 +439,34 @@ class ExpIntegralTransform:
 
 
 @lru_cache(maxsize=None)
-def _conjecture(n: int) -> PiecewiseRadius:
+def conjecture_transform(n: int) -> PiecewiseRadius:
+    """``conjecture_F``, the conjectured extremal transform, glued from the
+    pointwise min of phi_k; built once per n.
+
+    For n = 1 this reduces to a constant multiple of ``specfun.phi_inv``.
+    """
     table = partition(n)
-    return _glued_radius(table.crossings_phi, table.phi_argmin[0], match_slope=True)
+    return _glued_radius("conjecture_F", table.crossings_phi, table.phi_argmin[0],
+                         match_slope=True)
 
 
 @lru_cache(maxsize=None)
-def _weak(n: int) -> ExpIntegralTransform:
+def weak_transform(n: int) -> ExpIntegralTransform:
+    """``weak_F``, the proven transform from the torsion/moment lower bound;
+    built once per n."""
     return ExpIntegralTransform(n)
 
 
 @lru_cache(maxsize=None)
-def _bad(n: int) -> PiecewiseRadius:
-    table = partition(n)
-    return _glued_radius(table.crossings_s, table.s_argmin[0], match_slope=False)
-
-
-def conjecture_F(n: int, a) -> np.ndarray | float:
-    """Conjectured extremal transform built from the pointwise min of phi_k.
-
-    For n = 1 this reduces to a constant multiple of ``specfun.phi_inv``.
-    """
-    return conjecture_transform(n)(a)
-
-
-def weak_F(n: int, a) -> np.ndarray | float:
-    """Proven concavifying transform from the torsion/moment lower bound."""
-    return weak_transform(n)(a)
-
-
-def conjecture_transform(n: int) -> PiecewiseRadius:
-    """The conjectured transform as an object exposing value and slope."""
-    return _conjecture(int(n))
-
-
-def weak_transform(n: int) -> ExpIntegralTransform:
-    """The proven transform as an object exposing value and slope."""
-    return _weak(int(n))
-
-
 def bad_transform(n: int) -> PiecewiseRadius:
-    """Radius transform glued over the perimeter-optimal intervals.
+    """``bad_func``, the radius transform glued over the perimeter-optimal
+    intervals; built once per n.
 
     It uses the intervals where s_k is minimal (not where phi_k is
     minimal), with every beta = 1 and the alphas accumulated left to right
     for continuity; the first piece is anchored at zero.  It is expected
     NOT to produce a concave composition.
     """
-    return _bad(int(n))
+    table = partition(n)
+    return _glued_radius("bad_func", table.crossings_s, table.s_argmin[0],
+                         match_slope=False)

@@ -36,6 +36,7 @@ from . import panels as pn
 from . import specfun as sf
 
 _EPS = 1e-12
+_FD_STEP = 1e-5  # step of the tangential differences in ``rayleigh``
 
 
 class TorsionFailure(RuntimeError):
@@ -47,12 +48,10 @@ class TorsionResult:
     value: float
     err: float
     kind: str  # exact_radial | halfspace | variational_lower | gauge_lower
-    F_label: str
     components: dict | None = None
 
 
-def torsion_radial(k: int, R: float, F, n: int | None = None,
-                   F_label: str = "F") -> TorsionResult:
+def torsion_radial(k: int, R: float, F) -> TorsionResult:
     """T^F of the round k-cylinder of radius R, F radial on [0, R].
 
     The ambient dimension does not enter: the free coordinates integrate
@@ -75,7 +74,7 @@ def torsion_radial(k: int, R: float, F, n: int | None = None,
     if not np.isfinite(num):
         # finite panels whose sum overflows
         raise TorsionFailure("radial torsion quadrature did not resolve")
-    return TorsionResult(num / den, (nerr + _EPS) / den, "exact_radial", F_label)
+    return TorsionResult(num / den, (nerr + _EPS) / den, "exact_radial")
 
 
 def torsion_halfspace(a: float) -> TorsionResult:
@@ -92,11 +91,10 @@ def torsion_halfspace(a: float) -> TorsionResult:
     val, err = pn.integrate(density, [lo, b])
     # below the cutoff the integrand is under e^{-t^2/2}/(2 pi t^2) / sqrt(2 pi)
     tail = np.exp(-lo * lo / 2.0) / (np.sqrt(2.0 * np.pi) * 2.0 * np.pi * lo * lo)
-    return TorsionResult(val / a, (err + tail) / a, "halfspace", "const1")
+    return TorsionResult(val / a, (err + tail) / a, "halfspace")
 
 
 def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
-                        F_label: str = "F",
                         bundle: gm.MomentsBundle | None = None) -> TorsionResult:
     """Lower bounds for T^F(K) from moments.
 
@@ -122,14 +120,22 @@ def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
     is_const1 = F.terms == gm.RayPolynomial.constant(1.0).terms
     value = max(last_touch, floor) if is_const1 else last_touch
     return TorsionResult(
-        value, lt_err, "gauge_lower", F_label,
+        value, lt_err, "gauge_lower",
         components={"last_touch": last_touch, "measure_floor": floor},
     )
 
 
+def torsion_one(K: bd.SupportBody) -> TorsionResult:
+    """The F = 1 torsion of K: exact on round cylinders (strips and balls
+    included), else the gauge lower bound on K's default-rule bundle."""
+    if K.kind == "cylinder":
+        k, R = K.params
+        return torsion_radial(int(k), float(R), np.ones_like)
+    return torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0))
+
+
 def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
-             rule: gm.SphereRule | None = None,
-             fd_step: float = 1e-5) -> gm.Estimate:
+             rule: gm.SphereRule | None = None) -> gm.Estimate:
     """Rayleigh quotient (int F v)^2 / int |grad v|^2 for v = P(||x||_K).
 
     P is given by its coefficient list and must vanish at 1 (so v = 0 on
@@ -145,7 +151,7 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
     b = np.convolve(dP, dP) if len(dP) else np.zeros(1)
 
     def cf(dirs, rho):
-        q, grad_tan2 = _gauge_slope_sq(K, dirs, rho, fd_step)
+        q, grad_tan2 = _gauge_slope_sq(K, dirs, rho, _FD_STEP)
         out = np.zeros((len(dirs), len(b)))
         for m in range(len(b)):
             out[:, m] = b[m] * q**m * (q**2 + grad_tan2)
@@ -157,8 +163,8 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
     if grad2.value <= 0:
         raise TorsionFailure("degenerate gradient energy")
     quotient = fv.times(fv).over(grad2)
-    # tangential finite differences contribute O(fd_step^2) relative noise
-    return gm.Estimate(quotient.value, quotient.err + abs(quotient.value) * fd_step,
+    # tangential finite differences contribute O(_FD_STEP^2) relative noise
+    return gm.Estimate(quotient.value, quotient.err + abs(quotient.value) * _FD_STEP,
                        "quadrature")
 
 

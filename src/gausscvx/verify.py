@@ -145,11 +145,15 @@ def random_even_quartic(n: int, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class MeasureTransform:
-    """A C^1 increasing reparametrization a -> F(a) of measures in (0,1)."""
+    """A closed-form C^1 increasing reparametrization a -> F(a) of measures
+    in (0,1): called for F, ``slope`` for F'."""
 
     name: str
-    value: "callable"
+    fn: "callable"
     slope: "callable"
+
+    def __call__(self, a):
+        return self.fn(a)
 
 
 def _power_transform(p: float) -> MeasureTransform:
@@ -165,35 +169,36 @@ def _power_transform(p: float) -> MeasureTransform:
         lambda a: abs(p) * np.asarray(a, dtype=float) ** (p - 1.0))
 
 
-_CYLINDER_TRANSFORMS = {"conjecture_F": cyl.conjecture_transform,
-                        "weak_F": cyl.weak_transform,
-                        "bad_func": cyl.bad_transform}
+def _psi_inv_transform(n: int) -> MeasureTransform:
+    return MeasureTransform(
+        "psi_inv", sf.psi_inv,
+        lambda a: np.sqrt(2.0 * np.pi) * np.exp(sf.psi_inv(a) ** 2 / 2.0))
 
 
-def measure_transform(spec, n: int) -> MeasureTransform:
-    """Resolve a transform from a name, a power tag, or a transform object.
+def _phi_inv_transform(n: int) -> MeasureTransform:
+    return MeasureTransform(
+        "phi_inv", sf.phi_inv,
+        lambda a: np.sqrt(np.pi / 2.0) * np.exp(sf.phi_inv(a) ** 2 / 2.0))
 
-    A transform object is callable and has a ``slope``.
+
+# transform name -> builder in dimension n; ``power:<p>`` is parsed apart
+TRANSFORMS = {"psi_inv": _psi_inv_transform, "phi_inv": _phi_inv_transform,
+              "conjecture_F": cyl.conjecture_transform,
+              "weak_F": cyl.weak_transform, "bad_func": cyl.bad_transform}
+
+
+def measure_transform(spec, n: int):
+    """The transform named ``spec`` in dimension n: a ``TRANSFORMS`` name or
+    ``power:<p>``.  Any other object is taken to be a transform already (a
+    ``name``, a call and a ``slope``) and returned unchanged.
     """
-    if isinstance(spec, MeasureTransform):
+    if not isinstance(spec, str):
         return spec
-    if hasattr(spec, "slope"):
-        return MeasureTransform(getattr(spec, "name", "custom"), spec, spec.slope)
-    name = str(spec)
-    if name.startswith("power:"):
-        return _power_transform(float(name.split(":", 1)[1]))
-    if name == "psi_inv":
-        return MeasureTransform(
-            name, sf.psi_inv,
-            lambda a: np.sqrt(2.0 * np.pi) * np.exp(sf.psi_inv(a) ** 2 / 2.0))
-    if name == "phi_inv":
-        return MeasureTransform(
-            name, sf.phi_inv,
-            lambda a: np.sqrt(np.pi / 2.0) * np.exp(sf.phi_inv(a) ** 2 / 2.0))
-    if name in _CYLINDER_TRANSFORMS:
-        t = _CYLINDER_TRANSFORMS[name](n)
-        return MeasureTransform(name, t, t.slope)
-    raise VerificationError(f"unknown transform {name!r}")
+    if spec.startswith("power:"):
+        return _power_transform(float(spec.split(":", 1)[1]))
+    if spec not in TRANSFORMS:
+        raise VerificationError(f"unknown transform {spec!r}")
+    return TRANSFORMS[spec](n)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +227,11 @@ class ConcavityReport:
         return float(np.max(self.second_diffs - self.budget))
 
 
-def _uniform_grid(grid, n_t: int) -> np.ndarray:
-    if grid is None:
-        grid = (np.arange(n_t) + 1.0) / (n_t + 1.0)
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or len(t) < 9:
-        raise VerificationError("need a 1-D grid with at least 9 points")
-    if np.any(t <= 0.0) or np.any(t >= 1.0):
-        raise VerificationError("grid must lie strictly inside (0,1)")
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-        raise VerificationError("grid must be uniform")
-    return t
+def _uniform_grid(n_t: int) -> np.ndarray:
+    """t_i = i / (n_t + 1), i = 1..n_t."""
+    if n_t < 9:
+        raise VerificationError("need at least 9 t points")
+    return (np.arange(n_t) + 1.0) / (n_t + 1.0)
 
 
 def _path_measures(K, L, t, rule):
@@ -244,8 +242,8 @@ def _path_measures(K, L, t, rule):
     return a, aerr
 
 
-def _second_diffs(t, a, aerr, tr: MeasureTransform):
-    F = np.asarray(tr.value(a), dtype=float)
+def _second_diffs(t, a, aerr, tr):
+    F = np.asarray(tr(a), dtype=float)
     slope = np.abs(np.asarray(tr.slope(a), dtype=float))
     dt = float(t[1] - t[0])
     d2 = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / dt**2
@@ -267,7 +265,7 @@ def _verdict(d2: np.ndarray, budget: np.ndarray) -> str:
 
 
 def concavity_check(transform, K: bd.SupportBody, L: bd.SupportBody,
-                    grid=None, n_t: int = 33,
+                    n_t: int = 33,
                     rule: gm.SphereRule | None = None) -> ConcavityReport:
     """Second-difference concavity test of F(gamma((1-t)K + tL)).
 
@@ -277,7 +275,7 @@ def concavity_check(transform, K: bd.SupportBody, L: bd.SupportBody,
     if K.n != L.n:
         raise VerificationError("dimension mismatch")
     tr = measure_transform(transform, K.n)
-    t = _uniform_grid(grid, n_t)
+    t = _uniform_grid(n_t)
     a, aerr = _path_measures(K, L, t, rule)
     F, d2, budget = _second_diffs(t, a, aerr, tr)
     return ConcavityReport(
@@ -300,17 +298,18 @@ class PowerBracket:
     grid_size: int
 
 
-def max_power(K: bd.SupportBody, L: bd.SupportBody, grid=None, n_t: int = 33,
-              rule: gm.SphereRule | None = None, lo: float = -4.0,
-              hi: float = 8.0, iters: int = 30) -> PowerBracket:
-    """Bisect for the largest p with sign(p) gamma(K_t)^p concave on the grid.
+def max_power(K: bd.SupportBody, L: bd.SupportBody, n_t: int = 33,
+              rule: gm.SphereRule | None = None) -> PowerBracket:
+    """Bisect for the largest p in [-4, 8] with sign(p) gamma(K_t)^p concave
+    on the grid.
 
     Measures along the path are computed once; each candidate power is then
     an arithmetic re-test, so 30 bisection steps cost one path evaluation.
     """
     if K.n != L.n:
         raise VerificationError("dimension mismatch")
-    t = _uniform_grid(grid, n_t)
+    t = _uniform_grid(n_t)
+    lo, hi = -4.0, 8.0
     a, aerr = _path_measures(K, L, t, rule)
 
     def concave_ok(p: float) -> bool:
@@ -322,7 +321,7 @@ def max_power(K: bd.SupportBody, L: bd.SupportBody, grid=None, n_t: int = 33,
     if concave_ok(hi):
         return PowerBracket(hi, hi, hi, 0.0, len(t))
     p_lo, p_hi = lo, hi
-    for _ in range(iters):
+    for _ in range(30):
         mid = 0.5 * (p_lo + p_hi)
         if concave_ok(mid):
             p_lo = mid
@@ -335,8 +334,7 @@ def max_power(K: bd.SupportBody, L: bd.SupportBody, grid=None, n_t: int = 33,
 # the correlated-moment upper bound for the concavity power
 
 
-def gauss_main_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None,
-                     n_sweep: int = 100) -> dict:
+def gauss_main_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None) -> dict:
     """Closed-form optimized upper bound for the concavity power of K.
 
     With m = E||X||_K^2, V = Var ||X||_K^2, c = r(K)^2/(2m):
@@ -370,7 +368,7 @@ def gauss_main_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None,
         return (c * inner * inner - V) / (beta * beta) + tail
 
     beta_star = alpha_star - m
-    mult = np.logspace(-2.0, 2.0, n_sweep // 2)
+    mult = np.logspace(-2.0, 2.0, 50)
     sweep = objective(m + np.concatenate([beta_star * mult, -beta_star * mult]))
     sweep_max = float(np.max(sweep))
     if sweep_max > bound + 1e-9:
@@ -393,13 +391,7 @@ def corT1_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None) -> dict:
     Round cylinders (and their strip/ball special cases) use the exact
     radial torsion; other bodies get the certified gauge lower bound.
     """
-    if K.kind == "cylinder":
-        k, R = K.params
-        t_res = tor.torsion_radial(int(k), float(R), lambda r: np.ones_like(r),
-                                   F_label="const1")
-    else:
-        t_res = tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0),
-                                        F_label="const1")
+    t_res = tor.torsion_one(K)
     a, ex2 = gm.polar_sample(K, rule).integrals(
         gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2))
     ex2 = ex2.over(a)
@@ -609,25 +601,28 @@ def alpha_halfspace(a: float) -> dict:
 # dilation comparison against the matching strip
 
 
-def s_inequality_check(K: bd.SupportBody, ts=(1.0, 1.2, 1.5, 2.0, 3.0),
+_S_DILATIONS = (1.0, 1.2, 1.5, 2.0, 3.0)
+
+
+def s_inequality_check(K: bd.SupportBody,
                        rule: gm.SphereRule | None = None) -> dict:
-    """gamma(tK) against the equal-measure strip's dilation, t >= 1.
+    """gamma(tK) against the equal-measure strip's dilation, t in
+    1, 1.2, 1.5, 2, 3.
 
     The reference strip half-width is matched to the quadrature value of
-    gamma(K), so the t=1 margin is zero by construction.
+    gamma(K), so the t=1 margin is zero by construction.  Each tK is
+    measured on K's one polar sample, scaled by t.
     """
-    if min(ts) < 1.0:
-        raise VerificationError("dilation factors must be >= 1")
-    rule = rule or gm.sphere_rule(K.n)
-    a = gm.measure(K, rule)
+    sample = gm.polar_sample(K, rule)
+    one = gm.RayPolynomial.constant(1.0)
+    a = sample.integral(one)
     w = float(sf.phi_inv(a.value))
     rows = []
-    for t in ts:
-        # dilate(K, 1) is K itself, already measured
-        at = a if t == 1.0 else gm.measure(bd.dilate(K, float(t)), rule)
+    for t in _S_DILATIONS:
+        at = a if t == 1.0 else sample.dilated(t).integral(one)
         strip_val = float(sf.phi(t * w))
         rows.append({
-            "t": float(t), "dilated": float(at.value), "strip": strip_val,
+            "t": t, "dilated": float(at.value), "strip": strip_val,
             "margin": float(at.value - strip_val), "err": float(at.err),
         })
     return {"a": float(a.value), "strip_halfwidth": w, "rows": rows}
@@ -667,7 +662,7 @@ def counterexample_family(n: int, transform: str) -> list:
             (bd.ball(0.5, n), bd.ball(3.0, n))]
 
 
-def counterexample_search(transform, family, grid=None, n_t: int = 33,
+def counterexample_search(transform, family, n_t: int = 33,
                           rule: gm.SphereRule | None = None) -> dict:
     """Scan (K, L) pairs for a transformed-concavity violation.
 
@@ -684,11 +679,11 @@ def counterexample_search(transform, family, grid=None, n_t: int = 33,
     witness = None
     unconfirmed = []
     for idx, (K, L) in enumerate(pairs):
-        rep = concavity_check(tr, K, L, grid=grid, n_t=n_t, rule=base_rule)
+        rep = concavity_check(tr, K, L, n_t=n_t, rule=base_rule)
         if rep.verdict != "violation":
             continue
         fine = gm.sphere_rule(n, 2 * base_rule.size)
-        rep2 = concavity_check(tr, K, L, grid=grid, n_t=n_t, rule=fine)
+        rep2 = concavity_check(tr, K, L, n_t=n_t, rule=fine)
         j = int(np.argmax(rep2.second_diffs - 5.0 * rep2.budget))
         if rep2.verdict == "violation":
             witness = {

@@ -462,11 +462,11 @@ class TestColdBuilds:
 
     @pytest.fixture
     def cold(self, monkeypatch):
-        cyl._conjecture.cache_clear()
-        cyl._bad.cache_clear()
+        cyl.conjecture_transform.cache_clear()
+        cyl.bad_transform.cache_clear()
         yield counting(monkeypatch, sf, "j_inverse_regularized")
-        cyl._conjecture.cache_clear()
-        cyl._bad.cache_clear()
+        cyl.conjecture_transform.cache_clear()
+        cyl.bad_transform.cache_clear()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_conjecture_transform_inversions(self, n, cold):
@@ -492,7 +492,7 @@ class TestBadTransform:
         tr = cyl.bad_transform(2)
         assert len(tr.breaks) == 1
         b = tr.breaks[0]
-        assert tr.value(b - 1e-9) == pytest.approx(tr.value(b + 1e-9), abs=1e-7)
+        assert tr(b - 1e-9) == pytest.approx(tr(b + 1e-9), abs=1e-7)
 
     def test_slope_is_inverse_perimeter_of_s_argmin(self):
         tr = cyl.bad_transform(2)
@@ -502,7 +502,7 @@ class TestBadTransform:
 
     def test_anchored_at_first_piece(self):
         tr = cyl.bad_transform(2)
-        assert tr.value(0.3) == pytest.approx(cyl.radius_of_measure(2, 0.3), rel=1e-12)
+        assert tr(0.3) == pytest.approx(cyl.radius_of_measure(2, 0.3), rel=1e-12)
 
 
 # crossings of the phi_1 = phi_n and s_{k+1} = s_k argmins, keyed by n and

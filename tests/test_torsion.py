@@ -26,14 +26,14 @@ ONES = lambda r: 1.0
 class TestRadial:
     @pytest.mark.parametrize("k,R", [(1, 0.5), (1, 2.0), (2, 1.0), (3, 0.8)])
     def test_const_load_vs_collocation(self, k, R):
-        pkg = tor.torsion_radial(k, R, ONES, F_label="const1")
+        pkg = tor.torsion_radial(k, R, ONES)
         bvp = oracles.radial_torsion_bvp(k, R, ONES)
         assert pkg.value == pytest.approx(bvp, rel=1e-7)
 
     @pytest.mark.parametrize("k,R", [(1, 1.0), (2, 0.7), (3, 1.5)])
     def test_quadratic_load_vs_collocation(self, k, R):
         F = lambda r: k - r * r
-        pkg = tor.torsion_radial(k, R, F, F_label="k-r2")
+        pkg = tor.torsion_radial(k, R, F)
         bvp = oracles.radial_torsion_bvp(k, R, F)
         assert pkg.value == pytest.approx(bvp, rel=1e-7)
 
@@ -47,11 +47,6 @@ class TestRadial:
         assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
         # classical disc value: T/R^2 -> 1/8 for k = 2
         assert vals[2] == pytest.approx(1.0 / 8.0, rel=5e-3)
-
-    def test_ambient_free(self):
-        a = tor.torsion_radial(2, 1.1, ONES, n=2)
-        b = tor.torsion_radial(2, 1.1, ONES, n=5)
-        assert a.value == b.value
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -111,30 +106,40 @@ class TestGaugeLower:
         K = bd.cylinder(k, R, n)
         F_ray = (gm.RayPolynomial.constant(float(k))
                  + gm.RayPolynomial.gauge_power(2) * (-R * R))
-        lower = tor.torsion_gauge_lower(K, F_ray, F_label="matched")
+        lower = tor.torsion_gauge_lower(K, F_ray)
         exact = tor.torsion_radial(k, R, lambda r: k - r * r)
         assert lower.value == pytest.approx(exact.value, rel=1e-6)
 
     def test_lower_bounds_exact_const_load(self):
         for k, R, n in [(1, 0.8, 2), (2, 1.2, 3)]:
             K = bd.cylinder(k, R, n)
-            lower = tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0),
-                                            F_label="const1")
+            lower = tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0))
             exact = tor.torsion_radial(k, R, ONES)
             assert lower.value <= exact.value * (1 + 1e-9)
 
     def test_measure_floor_only_for_const_load(self):
         K = bd.ball(0.25, 2)
-        res1 = tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0),
-                                       F_label="const1")
+        res1 = tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0))
         assert res1.components["measure_floor"] <= res1.value + 1e-15
         resF = tor.torsion_gauge_lower(
             K, gm.RayPolynomial.constant(2.0)
-            - gm.RayPolynomial.gauge_power(2) * (0.25**2),
-            F_label="quad")
+            - gm.RayPolynomial.gauge_power(2) * (0.25**2))
         assert resF.value == pytest.approx(resF.components["last_touch"],
                                            rel=1e-15)
 
+
+
+class TestTorsionOne:
+    @pytest.mark.parametrize("K", [bd.strip(0.7, 2), bd.ball(1.2, 2),
+                                   bd.cylinder(2, 0.9, 3)])
+    def test_exact_radial_on_cylinders(self, K):
+        k, R = K.params
+        assert tor.torsion_one(K) == tor.torsion_radial(k, R, ONES)
+
+    def test_gauge_lower_elsewhere(self):
+        K = bd.box((0.7, 0.9), 2)
+        assert tor.torsion_one(K) == tor.torsion_gauge_lower(
+            K, gm.RayPolynomial.constant(1.0))
 
 class TestRayleigh:
     def test_matches_radial_on_ball(self):

@@ -1,10 +1,15 @@
 """Inequality-verification layer: transforms, concavity scans, moment checks."""
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausscvx import body as bd
+from gausscvx import cli
 from gausscvx import cylinder as cyl
 from gausscvx import gaussmoments as gm
 from gausscvx import specfun as sf
@@ -12,6 +17,8 @@ from gausscvx import torsion as tor
 from gausscvx import verify as vf
 
 import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _poly_strategy(n=2, max_terms=4):
@@ -110,27 +117,159 @@ class TestMeasureTransforms:
     def test_slope_consistent_with_value(self, spec):
         tr = vf.measure_transform(spec, 2)
         for a in (0.3, 0.55, 0.8):
-            fd = oracles.fd_slope(tr.value, a, h=1e-6)
+            fd = oracles.fd_slope(tr, a, h=1e-6)
             assert tr.slope(a) == pytest.approx(fd, rel=5e-5)
 
     def test_power_limit_is_log(self):
         tr = vf.measure_transform("power:0", 2)
-        assert tr.value(0.4) == pytest.approx(np.log(0.4))
+        assert tr(0.4) == pytest.approx(np.log(0.4))
 
     def test_negative_power_orientation(self):
         # p < 0 flips sign so the transform stays increasing
         tr = vf.measure_transform("power:-1", 2)
-        assert tr.value(0.6) > tr.value(0.4)
+        assert tr(0.6) > tr(0.4)
         assert tr.slope(0.5) > 0
 
     def test_object_passthrough(self):
         obj = cyl.conjecture_transform(2)
-        tr = vf.measure_transform(obj, 2)
-        assert tr.value(0.5) == pytest.approx(obj(0.5))
+        assert vf.measure_transform(obj, 2) is obj
 
     def test_unknown_rejected(self):
         with pytest.raises(vf.VerificationError):
             vf.measure_transform("sorcery", 2)
+
+
+# (F(a), F'(a)) at PINNED_A for each transform and n, frozen bit for bit
+# from the transforms as they stood before they became one protocol
+PINNED_A = (1e-6, 0.3, 0.5, 0.9, 1 - 1e-9)
+PINNED_TRANSFORMS = {
+    ("psi_inv", 2): [
+        (-4.753424308822899, 202088.27038913674),
+        (-0.5244005127080407, 2.876103659264292),
+        (0.0, 2.5066282746310002),
+        (1.2815515655446006, 5.698059856117005),
+        (5.997807019601638, 162434118.9035049),
+    ],
+    ("psi_inv", 3): [
+        (-4.753424308822899, 202088.27038913674),
+        (-0.5244005127080407, 2.876103659264292),
+        (0.0, 2.5066282746310002),
+        (1.2815515655446006, 5.698059856117005),
+        (5.997807019601638, 162434118.9035049),
+    ],
+    ("phi_inv", 2): [
+        (1.2533141373158282e-06, 1.2533141373164844),
+        (0.3853204664075676, 1.3498956370335382),
+        (0.6744897501960817, 1.573432540280546),
+        (1.6448536269514726, 4.847984636350786),
+        (6.109410209383451, 159609043.6589061),
+    ],
+    ("phi_inv", 3): [
+        (1.2533141373158282e-06, 1.2533141373164844),
+        (0.3853204664075676, 1.3498956370335382),
+        (0.6744897501960817, 1.573432540280546),
+        (1.6448536269514726, 4.847984636350786),
+        (6.109410209383451, 159609043.6589061),
+    ],
+    ("power:0.5", 2): [
+        (0.001, 500.0),
+        (0.5477225575051661, 0.9128709291752769),
+        (0.7071067811865476, 0.7071067811865476),
+        (0.9486832980505138, 0.5270462766947299),
+        (0.9999999995, 0.50000000025),
+    ],
+    ("power:0.5", 3): [
+        (0.001, 500.0),
+        (0.5477225575051661, 0.9128709291752769),
+        (0.7071067811865476, 0.7071067811865476),
+        (0.9486832980505138, 0.5270462766947299),
+        (0.9999999995, 0.50000000025),
+    ],
+    ("power:-1", 2): [
+        (-1000000.0, 1000000000000.0001),
+        (-3.3333333333333335, 11.111111111111112),
+        (-2.0, 4.0),
+        (-1.1111111111111112, 1.2345679012345678),
+        (-1.000000001, 1.000000002),
+    ],
+    ("power:-1", 3): [
+        (-1000000.0, 1000000000000.0001),
+        (-3.3333333333333335, 11.111111111111112),
+        (-2.0, 4.0),
+        (-1.1111111111111112, 1.2345679012345678),
+        (-1.000000001, 1.000000002),
+    ],
+    ("conjecture_F", 2): [
+        (0.0008325548192964634, 416.2776177871099),
+        (0.4972205061816225, 0.995745595396944),
+        (0.6931471805599453, 1.0),
+        (1.263340953665392, 2.743310024696357),
+        (3.7685773093810697, 89523029.34007026),
+    ],
+    ("conjecture_F", 3): [
+        (0.008993378524807015, 2997.9378261602096),
+        (0.6900606537211152, 1.0374889631426056),
+        (0.8895907945344113, 1.0),
+        (1.4460175242880207, 2.6408305790530124),
+        (3.8461709892384315, 85739698.69991419),
+    ],
+    ("weak_F", 2): [
+        (0.0011968446698023458, 598.4224346382914),
+        (0.673974424540045, 1.192765010449827),
+        (0.8899224661660413, 1.0),
+        (1.2761668629747727, 1.0239854863209934),
+        (1.3912932092812302, 2.786270353448926),
+    ],
+    ("weak_F", 3): [
+        (0.015140080246115708, 5046.774772235182),
+        (1.0570286640584208, 1.2914974229144631),
+        (1.2814138063635612, 1.0),
+        (1.6454737805144422, 0.9075608335200014),
+        (1.7447909587175934, 2.1951532521431716),
+    ],
+    ("bad_func", 2): [
+        (0.0014142139159266773, 707.1073115171121),
+        (0.8446004309005914, 1.6914168834227958),
+        (1.1774100225154747, 1.6986436005760381),
+        (2.160187311473062, 4.8479846363507875),
+        (6.62474389390504, 159609043.65890613),
+    ],
+    ("bad_func", 3): [
+        (0.015550256821070283, 5183.669630028475),
+        (1.1931689918177055, 1.7938997876484504),
+        (1.5381722544550525, 1.7290784301113322),
+        (2.523109923758285, 4.8479846363507875),
+        (6.987666506190262, 159609043.65890613),
+    ],
+}
+
+
+class TestTransformProtocol:
+    @pytest.mark.parametrize("spec,n", list(PINNED_TRANSFORMS))
+    def test_pinned_values_and_name(self, spec, n):
+        tr = vf.measure_transform(spec, n)
+        assert tr.name == spec
+        got = [(float(tr(a)), float(tr.slope(a))) for a in PINNED_A]
+        assert got == PINNED_TRANSFORMS[spec, n]
+
+    @pytest.mark.parametrize("name,builder", [
+        ("conjecture_F", cyl.conjecture_transform),
+        ("weak_F", cyl.weak_transform), ("bad_func", cyl.bad_transform)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cylinder_names_give_the_cached_object(self, name, builder, n):
+        assert vf.measure_transform(name, n) is builder(n)
+
+    def test_every_named_transform_resolves(self):
+        spec = importlib.util.spec_from_file_location(
+            "hunt_counterexamples", ROOT / "scripts" / "hunt_counterexamples.py")
+        hunt = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(hunt)
+        # the concavity and counterexample rows close over their transform
+        rows = {inspect.getclosurevars(row).nonlocals.get("transform")
+                for row in cli.CHECKS.values()} - {None}
+        assert rows == {"psi_inv", "conjecture_F", "weak_F", "phi_inv", "bad_func"}
+        for name in rows | set(hunt.SEARCH_TRANSFORMS):
+            assert vf.measure_transform(name, 2).name == name
 
 
 class TestConcavityCheck:
@@ -166,8 +305,6 @@ class TestConcavityCheck:
 
     def test_grid_validation(self):
         K = bd.ball(1.0, 2)
-        with pytest.raises(vf.VerificationError):
-            vf.concavity_check("psi_inv", K, K, grid=[0.0, 0.5, 1.0])
         with pytest.raises(vf.VerificationError):
             vf.concavity_check("psi_inv", K, K, n_t=5)
 
@@ -249,6 +386,7 @@ class TestMinkowskiFirst:
         # difference through the strip 1 - eps w would read a slope
         # below rhs
         out = vf.minkowski_first_check(bd.ball(1.0, 2), bd.strip(0.5, 2))
+        assert out["lhs"] == np.inf
         assert out["slack"] > 0
 
 
