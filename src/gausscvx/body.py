@@ -10,14 +10,15 @@ grid minimizer as the generic fallback.
 
 Closed interpolation rules (support sums):
 
-- round cylinders over nested leading-coordinate blocks, with balls
-  (k = n) and strips (k = 1) as the extreme cases:
-  (1-l) C_j(R1) + l C_k(R2) = C_min(j,k)((1-l) R1 + l R2);
-- boxes combine componentwise;
-- box + ball (or box + cylinder) gives a rounded box
-  {x : ||(|x_act| - b)_+||_2 <= s}; along a direction, ||(t|theta_act| -
-  b)_+||^2 is a piecewise quadratic in t with breakpoints b_i/|theta_i|,
-  so its radial is the larger root on the segment where it reaches s^2;
+- offset boxes Box(b) + sB, b in [0, inf]^n and s >= 0, combine entrywise:
+  (1-l)(Box(b1) + s1 B) + l (Box(b2) + s2 B) = Box((1-l) b1 + l b2) +
+  ((1-l) s1 + l s2) B.  The family holds the boxes (s = 0), the round
+  k-cylinders R B^k x R^(n-k) (k zero and n - k infinite entries of b;
+  balls and strips included) and the rounded boxes
+  {x : ||(|x_fin| - b_fin)_+||_2 <= s}.  Along a direction,
+  ||(t|theta_fin| - b_fin)_+||^2 is a piecewise quadratic in t with
+  breakpoints b_i/|theta_i|, so a rounded box's radial is the larger root
+  on the segment where it reaches s^2;
 - any other dilate pair, L = cK as ``dilation_factor`` reads it from the
   kinds and parameters (proportional ellipsoids, lp-balls of one p),
   gives (1 - l + l c) K.
@@ -26,9 +27,9 @@ Everything else falls back to the generic support oracle.
 
 A translate K + v has sup{t >= 0 : ||t theta - v||_K <= 1} as its radial
 (the exit time of the ray when the origin is inside): the larger root of a
-quadratic for ball, strip, cylinder and ellipsoid cores, the first slab
-exit for a box, and secant steps from the right on the convex gauge for
-other cores.
+quadratic for round cylinder and ellipsoid cores, the first slab exit for
+a box, and secant steps from the right on the convex gauge for other cores
+(rounded boxes, lp-balls).
 """
 
 from __future__ import annotations
@@ -93,11 +94,101 @@ def _rows(theta, n: int) -> tuple[np.ndarray, bool]:
 # catalog
 
 
-def _axis_block(u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|P_k u|, |u - P_k u|) row-wise."""
-    head = np.linalg.norm(u[:, :k], axis=1)
-    tail = np.linalg.norm(u[:, k:], axis=1) if k < u.shape[1] else np.zeros(len(u))
-    return head, tail
+def offset_box(b, s: float) -> SupportBody:
+    """Box(b) + s B^n = {x : ||(|x_fin| - b_fin)_+|| <= s} for b in
+    [0, inf]^n and s >= 0, free in the coordinates with b_i = inf.  Boxes
+    are s = 0, round k-cylinders (balls and strips included) have k zero
+    and n - k infinite entries, and the rest are rounded boxes.  The
+    family is closed under dilation and Minkowski interpolation."""
+    b, s = tuple(map(float, b)), float(s)
+    fin = [math.isfinite(x) for x in b]
+    bf = [x for x, f in zip(b, fin) if f]
+    if s < 0 or min(b) < 0 or not bf or min(bf) + s <= 0:
+        raise BodyError("need b >= 0 with a finite entry, s >= 0 and min(b) + s > 0")
+    n, k = len(b), len(bf)
+    boxed = any(bf)  # False on round cylinders, where s > 0
+    inradius = min(bf) + s
+    cols = None if k == n else np.array([i for i, f in enumerate(fin) if f])
+    fin_w, free_w = np.array([fin, [not f for f in fin]], dtype=float)
+    if boxed:
+        lin, bf = np.array([x if f else 0.0 for x, f in zip(b, fin)]), np.array(bf)
+
+    def support(u):
+        uu = np.atleast_2d(u)
+        h = np.abs(uu) @ lin if boxed else 0.0
+        if s > 0 or cols is not None:
+            sq = uu * uu
+            if s > 0:
+                h = h + s * np.sqrt(sq @ fin_w)
+            if cols is not None:
+                h[sq @ free_w > 1e-24] = np.inf
+        return h
+
+    def rad(t):
+        a = np.abs(np.atleast_2d(t))
+        if cols is not None:
+            a = a[:, cols]
+        if s == 0:
+            # first slab exit
+            with np.errstate(divide="ignore"):
+                return np.min(np.where(a > 0, bf / np.maximum(a, 1e-300), np.inf), axis=1)
+        if not boxed:
+            head = np.linalg.norm(a, axis=1)
+            with np.errstate(divide="ignore"):
+                return np.where(head > 0, s / np.maximum(head, 1e-300), np.inf)
+        return _breakpoint_root(a, bf, s)
+
+    if s == 0:
+        label = "box(" + ",".join(f"{x:g}" for x in b) + ")"
+    elif boxed:
+        label = f"roundbox(b={np.round(bf, 6).tolist()},s={s:g})"
+    elif k == 1:
+        label = f"strip(w={s:g})"
+    else:
+        label = f"ball(R={s:g})" if k == n else f"cylinder(k={k},R={s:g})"
+    return SupportBody(
+        n=n, support=support, exact_radial=rad, exact_inradius=inradius,
+        label=label, kind="offset_box", params=(b, s),
+    )
+
+
+def _breakpoint_root(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    """Row-wise sup{t : ||(t a - b)_+|| <= s} for rows a >= 0, +inf on zero
+    rows.  f(t) = ||(t a - b)_+||^2 is the quadratic A t^2 - 2 B t + C
+    between consecutive breakpoints b_i / a_i, with A, B, C summed over the
+    coordinates already past their breakpoint; zero components never
+    become active."""
+    with np.errstate(divide="ignore"):
+        tau = np.where(a > 0, b / a, np.inf)
+    order = np.argsort(tau, axis=1, kind="stable")
+    tau = np.take_along_axis(tau, order, axis=1)
+    a = np.take_along_axis(a, order, axis=1)
+    bs = b[order]
+    A = np.cumsum(a * a, axis=1)
+    B = np.cumsum(a * bs, axis=1)
+    C = np.cumsum(bs * bs, axis=1)
+    with np.errstate(invalid="ignore"):
+        f_tau = (A * tau - 2.0 * B) * tau + C
+    # f is nondecreasing, so the root lies on the segment after the last
+    # breakpoint where f < s^2
+    k = np.sum(f_tau < s * s, axis=1)
+    out = np.full(len(a), np.inf)
+    ok = k > 0
+    if np.any(ok):
+        j = (k[ok] - 1)[:, None]
+        A, B, C = (np.take_along_axis(x[ok], j, axis=1)[:, 0] for x in (A, B, C))
+        out[ok] = (B + np.sqrt(np.maximum(B * B - A * (C - s * s), 0.0))) / A
+    return out
+
+
+def round_cylinder(K: SupportBody) -> tuple[int, float] | None:
+    """(k, R) when K is a round k-cylinder R B^k x R^(n-k) (k = n: a ball,
+    k = 1: a strip), else None."""
+    if K.kind != "offset_box":
+        return None
+    b, s = K.params
+    fin = [x for x in b if math.isfinite(x)]
+    return (len(fin), s) if s > 0 and not any(fin) else None
 
 
 def cylinder(k: int, R: float, n: int) -> SupportBody:
@@ -106,22 +197,7 @@ def cylinder(k: int, R: float, n: int) -> SupportBody:
         raise BodyError("need 1 <= k <= n")
     if R <= 0:
         raise BodyError("R must be positive")
-
-    def support(u):
-        head, tail = _axis_block(np.atleast_2d(u), k)
-        return np.where(tail <= 1e-12, R * head, np.inf)
-
-    def rad(t):
-        head = np.linalg.norm(np.atleast_2d(t)[:, :k], axis=1)
-        with np.errstate(divide="ignore"):
-            return np.where(head > 0, R / np.maximum(head, 1e-300), np.inf)
-
-    names = {1: f"strip(w={R:g})"} if k == 1 else {}
-    label = names.get(k, f"ball(R={R:g})" if k == n else f"cylinder(k={k},R={R:g})")
-    return SupportBody(
-        n=n, support=support, exact_radial=rad, exact_inradius=R,
-        label=label, kind="cylinder", params=(k, R),
-    )
+    return offset_box([0.0] * k + [np.inf] * (n - k), R)
 
 
 def ball(R: float, n: int) -> SupportBody:
@@ -138,21 +214,7 @@ def box(half_widths, n: int | None = None) -> SupportBody:
         raise BodyError("box needs one half-width per coordinate")
     if np.any(a <= 0):
         raise BodyError("half-widths must be positive")
-    n = len(a)
-
-    def support(u):
-        return np.abs(np.atleast_2d(u)) @ a
-
-    def rad(t):
-        tt = np.abs(np.atleast_2d(t))
-        with np.errstate(divide="ignore"):
-            return np.min(np.where(tt > 0, a / np.maximum(tt, 1e-300), np.inf), axis=1)
-
-    return SupportBody(
-        n=n, support=support, exact_radial=rad, exact_inradius=float(np.min(a)),
-        label="box(" + ",".join(f"{x:g}" for x in a) + ")", kind="box",
-        params=tuple(a),
-    )
+    return offset_box(a, 0.0)
 
 
 def lp_ball(r: float, p: float, n: int) -> SupportBody:
@@ -198,53 +260,6 @@ def ellipsoid(semi_axes, n: int | None = None) -> SupportBody:
     )
 
 
-def _round_box(b: np.ndarray, s: float, active: np.ndarray, n: int) -> SupportBody:
-    """{x : ||(|x_act| - b)_+|| <= s}, free in the non-active coordinates."""
-    b = np.asarray(b, dtype=float)
-    act = np.asarray(active, dtype=bool)
-
-    def support(u):
-        uu = np.atleast_2d(u)
-        tail = np.linalg.norm(uu[:, ~act], axis=1) if np.any(~act) else 0.0
-        head = np.abs(uu[:, act]) @ b + s * np.linalg.norm(uu[:, act], axis=1)
-        return np.where(np.asarray(tail) <= 1e-12, head, np.inf)
-
-    def rad(t):
-        # f(t) = ||(t a - b)_+||^2 with a = |theta_act| is the quadratic
-        # A t^2 - 2 B t + C between consecutive breakpoints b_i / a_i, with
-        # A, B, C summed over the coordinates already past their breakpoint;
-        # zero components never become active
-        a = np.abs(np.atleast_2d(t)[:, act])
-        with np.errstate(divide="ignore"):
-            tau = np.where(a > 0, b / a, np.inf)
-        order = np.argsort(tau, axis=1, kind="stable")
-        tau = np.take_along_axis(tau, order, axis=1)
-        a = np.take_along_axis(a, order, axis=1)
-        bs = b[order]
-        A = np.cumsum(a * a, axis=1)
-        B = np.cumsum(a * bs, axis=1)
-        C = np.cumsum(bs * bs, axis=1)
-        with np.errstate(invalid="ignore"):
-            f_tau = (A * tau - 2.0 * B) * tau + C
-        # f is nondecreasing, so the root lies on the segment after the
-        # last breakpoint where f < s^2
-        k = np.sum(f_tau < s * s, axis=1)
-        out = np.full(len(a), np.inf)
-        ok = k > 0
-        if np.any(ok):
-            j = (k[ok] - 1)[:, None]
-            A, B, C = (np.take_along_axis(x[ok], j, axis=1)[:, 0] for x in (A, B, C))
-            out[ok] = (B + np.sqrt(np.maximum(B * B - A * (C - s * s), 0.0))) / A
-        return out
-
-    inr = float(np.min(b) + s)
-    return SupportBody(
-        n=n, support=support, exact_radial=rad, exact_inradius=inr,
-        label=f"roundbox(b={np.round(b,6).tolist()},s={s:g})",
-        kind="roundbox", params=(tuple(b), s, tuple(act)),
-    )
-
-
 def translate(body: SupportBody, v) -> SupportBody:
     """K + v for an unshifted K.  Its radial is sup{t >= 0 : t theta in
     K + v}: the exit time of the ray when -v is interior to K.  Otherwise
@@ -273,10 +288,10 @@ def translate(body: SupportBody, v) -> SupportBody:
 def _translate_radial(body: SupportBody, v: np.ndarray):
     """sup{t >= 0 : ||t theta - v||_K <= 1} row-wise, +inf along rays that
     never leave (None when K has no exact radial)."""
-    if body.kind in ("cylinder", "ellipsoid"):
-        if body.kind == "cylinder":
-            k, R = body.params
-            w = np.where(np.arange(body.n) < k, 1.0 / (R * R), 0.0)
+    rc = round_cylinder(body)
+    if rc is not None or body.kind == "ellipsoid":
+        if rc is not None:
+            w = np.where(np.isfinite(body.params[0]), 1.0 / (rc[1] * rc[1]), 0.0)
         else:
             w = 1.0 / np.asarray(body.params) ** 2
         C = np.sum(w * v * v) - 1.0
@@ -295,8 +310,8 @@ def _translate_radial(body: SupportBody, v: np.ndarray):
             return np.where(root > 0, root, 0.0)
 
         return rad
-    if body.kind == "box":
-        a = np.asarray(body.params)
+    if body.kind == "offset_box" and body.params[1] == 0:
+        a = np.asarray(body.params[0])
 
         def rad(t):
             # the ray crosses each slab |x_i - v_i| <= a_i on one interval;
@@ -368,14 +383,14 @@ def _last_root(f, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
 
 def catalog(name: str, n: int, **params) -> SupportBody:
     """Build a catalog body by name; see the module docstring for the list."""
-    makers = {
-        "ball": lambda: ball(params["R"], n),
-        "strip": lambda: strip(params["w"], n),
-        "cylinder": lambda: cylinder(int(params["k"]), params["R"], n),
-        "box": lambda: box(params["a"], n),
-        "lp_ball": lambda: lp_ball(params["r"], params["p"], n),
-        "ellipsoid": lambda: ellipsoid(params["c"], n),
-    }
+    makers = dict(
+        ball=lambda: ball(params["R"], n),
+        strip=lambda: strip(params["w"], n),
+        cylinder=lambda: cylinder(int(params["k"]), params["R"], n),
+        box=lambda: box(params["a"], n),
+        lp_ball=lambda: lp_ball(params["r"], params["p"], n),
+        ellipsoid=lambda: ellipsoid(params["c"], n),
+    )
     if name not in makers:
         raise BodyError(f"unknown body {name!r}")
     try:
@@ -593,43 +608,13 @@ def interpolate(K: SupportBody, L: SupportBody, lam: float) -> SupportBody:
 
 
 def _interp_rules(K: SupportBody, L: SupportBody, lam: float) -> SupportBody | None:
-    a, b = (K, L) if K.kind <= L.kind else (L, K)
-    la = 1.0 - lam if a is K else lam
-    lb = 1.0 - la
-    n = K.n
-    if a.kind == "cylinder" and b.kind == "cylinder":
-        (ka, Ra), (kb, Rb) = a.params, b.params
-        return cylinder(min(ka, kb), la * Ra + lb * Rb, n)
-    if a.kind == "box" and b.kind == "box":
-        return box(la * np.array(a.params) + lb * np.array(b.params), n)
-    if a.kind == "box" and b.kind == "cylinder":
-        kb, Rb = b.params
-        bvec = la * np.array(a.params)[:kb]
-        active = np.arange(n) < kb
-        return _round_box(bvec, lb * Rb, active, n)
-    if a.kind == "cylinder" and b.kind == "roundbox":
-        ka, Ra = a.params
-        bv, s, act = b.params
-        act = np.asarray(act, dtype=bool)
-        if act.sum() == ka and np.all(act[:ka]):
-            return _round_box(lb * np.array(bv), la * Ra + lb * s, act, n)
-        return None
-    if a.kind == "box" and b.kind == "roundbox":
-        bv, s, act = b.params
-        act = np.asarray(act, dtype=bool)
-        if np.all(act):
-            return _round_box(
-                la * np.array(a.params) + lb * np.array(bv), lb * s, act, n
-            )
-        return None
-    if a.kind == "roundbox" and b.kind == "roundbox":
-        (b1, s1, a1), (b2, s2, a2) = a.params, b.params
-        if a1 == a2:
-            return _round_box(
-                la * np.array(b1) + lb * np.array(b2), la * s1 + lb * s2,
-                np.asarray(a1, dtype=bool), n,
-            )
-        return None
+    if K.kind == L.kind == "offset_box":
+        # support functions add: Box(b1) + s1 B and Box(b2) + s2 B combine
+        # entrywise, an infinite entry on either side staying infinite
+        (b1, s1), (b2, s2) = K.params, L.params
+        w = 1.0 - lam
+        return offset_box([w * x + (1.0 - w) * y for x, y in zip(b1, b2)],
+                          w * s1 + (1.0 - w) * s2)
     c = dilation_factor(K, L)
     if c is not None:
         return dilate(K, 1.0 - lam + lam * c)
@@ -639,29 +624,29 @@ def _interp_rules(K: SupportBody, L: SupportBody, lam: float) -> SupportBody | N
 def dilation_factor(K: SupportBody, L: SupportBody) -> float | None:
     """The c with L = cK, read from the catalog kinds and parameters; None
     when the pair is not recognized as a dilate pair (different kinds or
-    shapes, translates, support-only bodies, generic dilates).  Vector
+    shapes, translates, support-only bodies, generic dilates).  Offset
+    boxes need the same zero and infinite entries in (b, s); vector
     parameters must share one ratio to rtol 1e-12."""
     if K.n != L.n or K.kind != L.kind:
         return None
-    if K.kind == "cylinder":
-        (kK, RK), (kL, RL) = K.params, L.params
-        return float(RL / RK) if kK == kL else None
+    if K.kind == "offset_box":
+        x, y = (*K.params[0], K.params[1]), (*L.params[0], L.params[1])
+        same = all((a == 0) == (b == 0) and (a == math.inf) == (b == math.inf)
+                   for a, b in zip(x, y))
+        return _common_ratio(y, x) if same else None
     if K.kind == "lp":
         (rK, pK), (rL, pL) = K.params, L.params
         return float(rL / rK) if pK == pL else None
-    if K.kind in ("box", "ellipsoid"):
+    if K.kind == "ellipsoid":
         return _common_ratio(L.params, K.params)
-    if K.kind == "roundbox":
-        (bK, sK, actK), (bL, sL, actL) = K.params, L.params
-        return _common_ratio(bL + (sL,), bK + (sK,)) if actK == actL else None
     return None
 
 
-def _common_ratio(x: tuple, y: tuple) -> float | None:
-    ratio = np.asarray(x, dtype=float) / np.asarray(y, dtype=float)
-    if np.allclose(ratio, ratio[0], rtol=1e-12, atol=0):
-        return float(ratio[0])
-    return None
+def _common_ratio(x, y) -> float | None:
+    """The ratio x_i / y_i shared to rtol 1e-12 by the entries with
+    0 < y_i < inf, else None."""
+    r = [float(a) / float(b) for a, b in zip(x, y) if 0 < b < math.inf]
+    return r[0] if all(abs(q - r[0]) <= 1e-12 * abs(r[0]) for q in r) else None
 
 
 def minkowski_sum(K: SupportBody, L: SupportBody, eps: float) -> SupportBody:
@@ -680,14 +665,9 @@ def dilate(K: SupportBody, c: float) -> SupportBody:
         raise BodyError("dilation factor must be positive")
     if c == 1.0:
         return K
-    if K.kind == "cylinder":
-        k, R = K.params
-        return cylinder(k, c * R, K.n)
-    if K.kind == "box":
-        return box(c * np.array(K.params), K.n)
-    if K.kind == "roundbox":
-        b, s, act = K.params
-        return _round_box(c * np.array(b), c * s, np.asarray(act, dtype=bool), K.n)
+    if K.kind == "offset_box":
+        b, s = K.params
+        return offset_box([c * x for x in b], c * s)
     if K.kind == "ellipsoid":
         return ellipsoid(c * np.array(K.params), K.n)
     if K.kind == "lp":

@@ -328,11 +328,12 @@ def _grade(margin: float, tol: float) -> str:
 
 def _check_saint_venant(cfg: RunConfig):
     K = bd.parse_body(cfg.body, cfg.n)
-    if K.kind != "cylinder":
+    rc = bd.round_cylinder(K)
+    if rc is None:
         raise vf.VerificationError(
             "exact torsion needs a strip/ball/cylinder body")
     lhs = tor.torsion_one(K)
-    a = float(cyl.measure_of_radius(*K.params))
+    a = float(cyl.measure_of_radius(*rc))
     rhs = tor.torsion_halfspace(a)
     margin = rhs.value - lhs.value
     return (lhs.value, rhs.value, margin,

@@ -128,9 +128,9 @@ def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
 def torsion_one(K: bd.SupportBody) -> TorsionResult:
     """The F = 1 torsion of K: exact on round cylinders (strips and balls
     included), else the gauge lower bound on K's default-rule bundle."""
-    if K.kind == "cylinder":
-        k, R = K.params
-        return torsion_radial(int(k), float(R), np.ones_like)
+    rc = bd.round_cylinder(K)
+    if rc is not None:
+        return torsion_radial(*rc, np.ones_like)
     return torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0))
 
 

@@ -131,9 +131,9 @@ def mc_gauss_prob(kind: str, params, n: int, N: int, seed: int):
 
 
 def round_box_radial_bisect(b, s: float, active, theta: np.ndarray) -> np.ndarray:
-    """Radial of {x : ||(|x_act| - b)_+|| <= s}: 80 bisection steps on the
-    distance from t|theta_act| to the box [0, b], +inf without an active
-    component."""
+    """Radial of {x : ||(|x_act| - b)_+|| <= s}, s >= 0: 80 bisection
+    steps on the distance from t|theta_act| to the box [0, b], +inf
+    without an active component."""
     b = np.asarray(b, dtype=float)
     th = np.abs(np.atleast_2d(theta)[:, np.asarray(active, dtype=bool)])
     hn = np.linalg.norm(th, axis=1)
@@ -145,11 +145,11 @@ def round_box_radial_bisect(b, s: float, active, theta: np.ndarray) -> np.ndarra
     lo = np.zeros(len(th))
     hi = np.full(len(th), np.max(b) + s + 1.0)
     d = lambda t: np.linalg.norm(np.maximum(t[:, None] * th - b, 0.0), axis=1) - s
-    while np.any(d(hi) < 0):
-        hi = np.where(d(hi) < 0, hi * 2.0, hi)
+    while np.any(d(hi) <= 0):
+        hi = np.where(d(hi) <= 0, hi * 2.0, hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        below = d(mid) < 0
+        below = d(mid) <= 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     out[ok] = 0.5 * (lo + hi)

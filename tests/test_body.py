@@ -279,8 +279,7 @@ class TestInterpolation:
         K = bd.cylinder(2, 0.8, 3)
         L = bd.cylinder(2, 1.7, 3)
         M = bd.interpolate(K, L, 0.5)
-        assert M.kind == "cylinder"
-        k, R = M.params
+        k, R = bd.round_cylinder(M)
         assert k == 2
         assert R == pytest.approx(0.5 * 0.8 + 0.5 * 1.7, rel=1e-12)
 
@@ -304,8 +303,9 @@ class TestInterpolation:
                                       (1 - 0.3) * K.support(u) + 0.3 * L.support(u))
 
     def test_strip_absorbs_ball(self):
-        # a strip interpolated with a ball is again a strip in the strip's
-        # normal direction only at lam=0; in between it is a round box
+        # a strip interpolated with a ball is the strip of half-width
+        # 0.7 * 0.8 + 0.3 * 1.0 = 0.86: the ball's bounded directions are
+        # absorbed by the strip's free one
         K = bd.strip(0.8, 2)
         L = bd.ball(1.0, 2)
         M = bd.interpolate(K, L, 0.3)
@@ -325,22 +325,31 @@ def _probe_directions(n: int, seed: int) -> np.ndarray:
     return np.vstack([x, e, -e, bd.direction_grid(n)[::29]])
 
 
-def _assert_radials_agree(got, want):
+def _assert_radials_agree(got, want, rtol=1e-14):
     assert np.array_equal(np.isinf(got), np.isinf(want))
     fin = np.isfinite(want)
-    np.testing.assert_allclose(got[fin], want[fin], rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got[fin], want[fin], rtol=rtol, atol=0)
+
+
+def _family_radial_bisect(K, theta) -> np.ndarray:
+    """The bisection radial of the offset box K = Box(b) + sB on its finite
+    coordinates."""
+    b, s = K.params
+    act = np.isfinite(b)
+    return oracles.round_box_radial_bisect(np.asarray(b)[act], s, act, theta)
 
 
 def _round_boxes(n: int) -> list:
-    """One rounded box from each closed interpolation rule that makes one."""
+    """Rounded boxes from interpolations of boxes, cylinders and rounded
+    boxes, with no, one or n - 1 free coordinates."""
     box = bd.box(np.linspace(0.6, 1.2, n), n)
     full = bd.interpolate(box, bd.ball(1.1, n), 0.4)            # box + ball
     free = bd.interpolate(box, bd.cylinder(n - 1, 0.9, n), 0.3)  # box + cylinder
     return [
         full, free,
         bd.interpolate(box, bd.strip(0.8, n), 0.7),
-        bd.interpolate(bd.cylinder(n - 1, 1.3, n), free, 0.5),   # cylinder + roundbox
-        bd.interpolate(box, full, 0.25),                         # box + roundbox
+        bd.interpolate(bd.cylinder(n - 1, 1.3, n), free, 0.5),   # cylinder + rounded box
+        bd.interpolate(box, full, 0.25),                         # box + rounded box
         bd.interpolate(full, bd.interpolate(box, bd.ball(0.7, n), 0.8), 0.6),
         bd.interpolate(bd.box(np.full(n, 0.9), n), bd.ball(0.1, n), 0.5),  # small s
         bd.dilate(free, 1.7),
@@ -351,6 +360,49 @@ def _shift(K, frac: float, u) -> np.ndarray:
     """The shift along u with ||v||_K = frac."""
     u = _unit(u)
     return frac * bd.radial(K, u[None, :])[0] * u
+
+
+class TestOffsetBoxFamily:
+    """Boxes, round cylinders and rounded boxes as one family Box(b) + sB,
+    closed under Minkowski interpolation."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_pair_interpolates_to_an_exact_radial(self, n):
+        members = [bd.box(np.linspace(0.7, 1.1, n), n), bd.ball(1.2, n), bd.strip(0.8, n),
+                   *(bd.cylinder(k, 0.9, n) for k in range(2, n)), *_round_boxes(n)]
+        u = _probe_directions(n, 40 + n)
+        for i, K in enumerate(members):
+            for L in members[i:]:
+                M = bd.interpolate(K, L, 0.35)
+                assert M.exact_radial is not None, (K.label, L.label)
+                # the interpolant's support is the support sum, and its
+                # radial is the bisection radial of its (b, s).  The closed
+                # root's discriminant cancels when s is small against the
+                # spread of the breakpoints: 1.6e-14 off on box + the
+                # small-s rounded box in n = 3
+                hK, hL, hM = K.support(u), L.support(u), M.support(u)
+                want = np.where(np.isinf(hK) | np.isinf(hL), np.inf, 0.65 * hK + 0.35 * hL)
+                _assert_radials_agree(hM, want)
+                _assert_radials_agree(bd.radial(M, u), _family_radial_bisect(M, u),
+                                      rtol=1e-13)
+
+    def test_dilation_factor_needs_the_same_zero_and_infinite_entries(self):
+        assert bd.dilation_factor(bd.strip(0.8, 2), bd.ball(1.2, 2)) is None
+        assert bd.dilation_factor(bd.cylinder(1, 0.8, 3), bd.cylinder(2, 1.1, 3)) is None
+        assert bd.dilation_factor(bd.cylinder(2, 0.8, 4), bd.cylinder(3, 1.1, 4)) is None
+        box = bd.box([0.6, 0.9], 2)
+        assert bd.dilation_factor(box, bd.interpolate(box, bd.ball(1.0, 2), 0.5)) is None
+        assert bd.dilation_factor(bd.cylinder(2, 0.8, 3),
+                                  bd.cylinder(2, 1.2, 3)) == pytest.approx(1.5, rel=1e-15)
+        K = _round_boxes(3)[1]
+        assert bd.dilation_factor(K, bd.dilate(K, 1.7)) == pytest.approx(1.7, rel=1e-12)
+
+    def test_round_cylinder_reads_k_and_radius(self):
+        assert bd.round_cylinder(bd.strip(0.8, 3)) == (1, 0.8)
+        assert bd.round_cylinder(bd.cylinder(2, 0.9, 3)) == (2, 0.9)
+        assert bd.round_cylinder(bd.ball(1.2, 2)) == (2, 1.2)
+        for K in (bd.box([0.6, 0.9], 2), _round_boxes(2)[0], bd.ellipsoid([1.0, 1.0])):
+            assert bd.round_cylinder(K) is None, K.label
 
 
 class TestExactRadials:
@@ -368,10 +420,11 @@ class TestExactRadials:
         some_act[0, [0, -1]] = _unit([1.0, 2.0])
         th = np.vstack([th, zero_act, some_act])
         for K in _round_boxes(n):
-            assert K.kind == "roundbox", K.label
-            b, s, act = K.params
+            b, s = K.params
+            act = np.isfinite(b)
+            assert s > 0 and np.any(np.asarray(b)[act] > 0), K.label
             got = bd.radial(K, th)
-            _assert_radials_agree(got, oracles.round_box_radial_bisect(b, s, act, th))
+            _assert_radials_agree(got, _family_radial_bisect(K, th))
             assert np.all(np.isinf(got[-3:-1])) == (not all(act)), K.label
 
     @pytest.mark.parametrize("n", [2, 3, 4])

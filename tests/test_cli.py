@@ -258,6 +258,16 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    def test_rounded_box_to_strip_path_passes(self, capsys, tmp_path):
+        # every body on this path is the strip of half-width 0.8, through
+        # the one interpolation rule of the offset-box family
+        code, out, _ = run(["verify", "--check", "ehrhard", "--n", "2",
+                            "--body", "interp:lambda=0.5;box:a=0.6+0.9|ball:R=1",
+                            "--body2", "strip:w=0.8", "--t-points", "9",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_counterexample_reports_witness_with_exit_zero(self, capsys,
                                                            tmp_path):
         code, out, _ = run(["verify", "--check", "counterexample-phi-inv",

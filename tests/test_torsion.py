@@ -133,7 +133,7 @@ class TestTorsionOne:
     @pytest.mark.parametrize("K", [bd.strip(0.7, 2), bd.ball(1.2, 2),
                                    bd.cylinder(2, 0.9, 3)])
     def test_exact_radial_on_cylinders(self, K):
-        k, R = K.params
+        k, R = bd.round_cylinder(K)
         assert tor.torsion_one(K) == tor.torsion_radial(k, R, ONES)
 
     def test_gauge_lower_elsewhere(self):
