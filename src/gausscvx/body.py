@@ -105,6 +105,8 @@ def offset_box(b, s: float) -> SupportBody:
     bf = [x for x, f in zip(b, fin) if f]
     if s < 0 or min(b) < 0 or not bf or min(bf) + s <= 0:
         raise BodyError("need b >= 0 with a finite entry, s >= 0 and min(b) + s > 0")
+    if len(bf) == 1:  # one finite coordinate: the strip of half-width b_1 + s
+        b, s, bf = tuple(0.0 if f else x for x, f in zip(b, fin)), bf[0] + s, [0.0]
     n, k = len(b), len(bf)
     boxed = any(bf)  # False on round cylinders, where s > 0
     inradius = min(bf) + s
@@ -165,19 +167,19 @@ def _breakpoint_root(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     a = np.take_along_axis(a, order, axis=1)
     bs = b[order]
     A = np.cumsum(a * a, axis=1)
-    B = np.cumsum(a * bs, axis=1)
-    C = np.cumsum(bs * bs, axis=1)
     with np.errstate(invalid="ignore"):
-        f_tau = (A * tau - 2.0 * B) * tau + C
-    # f is nondecreasing, so the root lies on the segment after the last
-    # breakpoint where f < s^2
+        f_tau = (A * tau - 2.0 * np.cumsum(a * bs, axis=1)) * tau + np.cumsum(bs * bs, axis=1)
+    # f is nondecreasing, so the root is tau_j + d on the segment after the
+    # last breakpoint tau_j where f < s^2: with e_i = (tau_j a_i - b_i)_+,
+    # f = A d^2 + 2 (sum a_i e_i) d + sum e_i^2 there, and nothing cancels
     k = np.sum(f_tau < s * s, axis=1)
     out = np.full(len(a), np.inf)
     ok = k > 0
-    if np.any(ok):
-        j = (k[ok] - 1)[:, None]
-        A, B, C = (np.take_along_axis(x[ok], j, axis=1)[:, 0] for x in (A, B, C))
-        out[ok] = (B + np.sqrt(np.maximum(B * B - A * (C - s * s), 0.0))) / A
+    j = (k[ok] - 1)[:, None]
+    t0, A = (np.take_along_axis(x[ok], j, axis=1) for x in (tau, A))
+    e = np.maximum(t0 * a[ok] - bs[ok], 0.0)
+    E, gap = np.sum(a[ok] * e, axis=1), s * s - np.sum(e * e, axis=1)
+    out[ok] = t0[:, 0] + gap / (E + np.sqrt(np.maximum(E * E + A[:, 0] * gap, 0.0)))
     return out
 
 

@@ -260,9 +260,10 @@ def _crossings(a, values, argmin, value_and_slope) -> list[tuple[float, int, int
 
 
 def partition(n: int, grid=None) -> PartitionTable:
-    """Tabulate argmin_k phi_k and argmin_k s_k over a measure grid in (0,1)."""
+    """Tabulate argmin_k phi_k and argmin_k s_k over a measure grid in (0,1);
+    the default grid's table is built once per n, with read-only arrays."""
     if grid is None:
-        grid = np.linspace(0.005, 0.995, 199)
+        return _default_partition(n)
     a = np.asarray(grid, dtype=float)
     if a.ndim != 1 or np.any(a <= 0) or np.any(a >= 1):
         raise sf.DomainError("partition grid must lie strictly inside (0,1)")
@@ -277,6 +278,14 @@ def partition(n: int, grid=None) -> PartitionTable:
         phi_argmin=np.argmin(phiv, axis=0) + 1,
         s_argmin=np.argmin(sv, axis=0) + 1,
     )
+
+
+@lru_cache(maxsize=None)
+def _default_partition(n: int) -> PartitionTable:
+    table = partition(n, np.linspace(0.005, 0.995, 199))
+    for x in (table.a, table.phi_values, table.s_values, table.phi_argmin, table.s_argmin):
+        x.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

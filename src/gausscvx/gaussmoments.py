@@ -31,11 +31,11 @@ so a batch of integrals (``PolarSample.integrals``) and the integrals that
 follow it at no higher degree reuse one table.  ``measure`` and
 ``ray_integral`` are one-shot forms over a fresh sample.
 
-``path_samples`` gives the samples along a Minkowski path
+``path_measures`` gives gamma and its err along a Minkowski path
 (1 - t) K + t L.  When L is a dilate cK, rho_{K_t} = (1 - t + t c) rho_K
-exactly, so K is sampled once and each t gets the scaled sample
-(``PolarSample.dilated``) with its own J table; other pairs sample each
-``bd.interpolate`` body.
+exactly, so K is sampled once and each t is one J_{n-1} row on the scaled
+rho (``PolarSample.scaled_measure``), summed like any integral; other
+pairs sample each ``bd.interpolate`` body.
 
 ``first_variation`` integrates on the same table:
 d/d eps gamma(K + eps L) at 0+ is the polar integral of
@@ -275,6 +275,9 @@ class PolarSample:
             col = A[:, j]
             if np.any(col != 0.0):
                 per_dir += col * J[j]
+        return Estimate(*self._value_err(per_dir), "quadrature")
+
+    def _value_err(self, per_dir: np.ndarray) -> tuple[float, float]:
         m = self.rule.size
         val = _polar_sum(self.rule, per_dir[:m])
         if self.half is None:
@@ -282,8 +285,7 @@ class PolarSample:
             err = 3.0 * norm * float(np.std(per_dir)) / np.sqrt(m)
         else:
             err = abs(val - _polar_sum(self.half, per_dir[m:]))
-        err += 1e-13 * max(1.0, abs(val))
-        return Estimate(val, err, "quadrature")
+        return val, err + 1e-13 * max(1.0, abs(val))
 
     def integrals(self, *fs) -> list[Estimate]:
         """Unnormalized int_K f dgamma for each f by the polar rule, over
@@ -303,11 +305,10 @@ class PolarSample:
         """``integrals`` of the one integrand f."""
         return self.integrals(f)[0]
 
-    def dilated(self, c: float) -> "PolarSample":
-        """The sample of cK, c > 0: the same rule and points, rho_{cK} =
-        c rho_K, and a J table of its own."""
-        return PolarSample(bd.dilate(self.K, c), self.rule, self.half, self.points,
-                           c * self.rho)
+    def scaled_measure(self, c: float) -> tuple[float, float]:
+        """gamma(cK), c > 0, and its err: ``integral`` of 1 on rho_{cK} =
+        c rho_K bit for bit, from the one kernel row J_{n-1}(c rho)."""
+        return self._value_err(sf.j_lower(self.K.n - 1, c * self.rho))
 
 
 def polar_sample(K: bd.SupportBody, rule: SphereRule | None = None) -> PolarSample:
@@ -319,23 +320,21 @@ def polar_sample(K: bd.SupportBody, rule: SphereRule | None = None) -> PolarSamp
     return PolarSample(K, rule, half, points, np.asarray(bd.radial(K, points), dtype=float))
 
 
-def path_samples(K: bd.SupportBody, L: bd.SupportBody, t,
-                 rule: SphereRule | None = None):
-    """Yield the sample of (1 - t_i) K + t_i L on ``rule`` for each t_i.
-
-    When L = cK (``bd.dilation_factor``) every body on the path is
-    (1 - t_i + t_i c) K, and each sample is K's one sample scaled; other
-    pairs get one radial call per t_i on ``bd.interpolate``.  The samples
-    come one at a time, so a path holds one rho and one J table at once.
-    """
+def path_measures(K: bd.SupportBody, L: bd.SupportBody, t,
+                  rule: SphereRule | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """gamma((1 - t_i) K + t_i L) on ``rule`` for each t_i, as arrays of
+    values and errs.  When L = cK (``bd.dilation_factor``) each body is
+    (1 - t_i + t_i c) K, measured on K's one sample scaled
+    (``PolarSample.scaled_measure``); other pairs measure each
+    ``bd.interpolate`` body."""
     c = bd.dilation_factor(K, L)
     if c is None:
-        for ti in t:
-            yield polar_sample(bd.interpolate(K, L, ti), rule)
-        return
-    base = polar_sample(K, rule)
-    for ti in t:
-        yield base.dilated(1.0 - ti + ti * c)
+        ests = (measure(bd.interpolate(K, L, ti), rule) for ti in t)
+        rows = [(e.value, e.err) for e in ests]
+    else:
+        base = polar_sample(K, rule)
+        rows = [base.scaled_measure(1.0 - ti + ti * c) for ti in t]
+    return tuple(np.array(rows).T)
 
 
 def ray_integral(K: bd.SupportBody, f: RayPolynomial,

@@ -555,7 +555,7 @@ def j_lower_orders(p: int, q: int, R) -> np.ndarray:
         raise DomainError("j_lower_orders requires R >= 0")
     rows = [None] * (hi - lo + 1)
     for k in range(max(lo, hi - 1), hi + 1):
-        rows[k - lo] = j_lower(k, RR)
+        rows[k - lo] = _apply(_j_lower, RR, k)
     if hi - lo >= 2:
         Rc = _min(RR, _T_MAX)
         g_k = _exp(-0.5 * Rc * Rc) * Rc ** (lo + 1)  # g_{lo+1}; 0, not inf * 0, at R = inf
@@ -568,7 +568,7 @@ def j_lower_orders(p: int, q: int, R) -> np.ndarray:
             row = (rows[k + 2 - lo] + g[k - lo]) / (k + 1)
             # beyond _T_MAX the kernel's rows are the totals; keep them exact
             rows[k - lo] = _where(far, _j_total(k), row) if _any(far) else row
-    return np.array(rows)
+    return np.array(rows) if lo < hi else np.asarray(rows[0])[np.newaxis]
 
 
 def j_inverse(p: int, y) -> np.ndarray | float:

@@ -234,14 +234,6 @@ def _uniform_grid(n_t: int) -> np.ndarray:
     return (np.arange(n_t) + 1.0) / (n_t + 1.0)
 
 
-def _path_measures(K, L, t, rule):
-    one = gm.RayPolynomial.constant(1.0)
-    ests = [s.integral(one) for s in gm.path_samples(K, L, t, rule)]
-    a = np.array([e.value for e in ests])
-    aerr = np.array([e.err for e in ests])
-    return a, aerr
-
-
 def _second_diffs(t, a, aerr, tr):
     F = np.asarray(tr(a), dtype=float)
     slope = np.abs(np.asarray(tr.slope(a), dtype=float))
@@ -276,7 +268,7 @@ def concavity_check(transform, K: bd.SupportBody, L: bd.SupportBody,
         raise VerificationError("dimension mismatch")
     tr = measure_transform(transform, K.n)
     t = _uniform_grid(n_t)
-    a, aerr = _path_measures(K, L, t, rule)
+    a, aerr = gm.path_measures(K, L, t, rule)
     F, d2, budget = _second_diffs(t, a, aerr, tr)
     return ConcavityReport(
         transform=tr.name, pair=(K.label, L.label), t_grid=t,
@@ -310,7 +302,7 @@ def max_power(K: bd.SupportBody, L: bd.SupportBody, n_t: int = 33,
         raise VerificationError("dimension mismatch")
     t = _uniform_grid(n_t)
     lo, hi = -4.0, 8.0
-    a, aerr = _path_measures(K, L, t, rule)
+    a, aerr = gm.path_measures(K, L, t, rule)
 
     def concave_ok(p: float) -> bool:
         _, d2, budget = _second_diffs(t, a, aerr, _power_transform(p))
@@ -614,18 +606,15 @@ def s_inequality_check(K: bd.SupportBody,
     measured on K's one polar sample, scaled by t.
     """
     sample = gm.polar_sample(K, rule)
-    one = gm.RayPolynomial.constant(1.0)
-    a = sample.integral(one)
-    w = float(sf.phi_inv(a.value))
+    measured = [sample.scaled_measure(t) for t in _S_DILATIONS]
+    a = measured[0][0]  # t = 1
+    w = float(sf.phi_inv(a))
     rows = []
-    for t in _S_DILATIONS:
-        at = a if t == 1.0 else sample.dilated(t).integral(one)
+    for t, (at, err) in zip(_S_DILATIONS, measured):
         strip_val = float(sf.phi(t * w))
-        rows.append({
-            "t": t, "dilated": float(at.value), "strip": strip_val,
-            "margin": float(at.value - strip_val), "err": float(at.err),
-        })
-    return {"a": float(a.value), "strip_halfwidth": w, "rows": rows}
+        rows.append({"t": t, "dilated": at, "strip": strip_val,
+                     "margin": at - strip_val, "err": float(err)})
+    return {"a": a, "strip_halfwidth": w, "rows": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,15 +377,30 @@ class TestOffsetBoxFamily:
                 M = bd.interpolate(K, L, 0.35)
                 assert M.exact_radial is not None, (K.label, L.label)
                 # the interpolant's support is the support sum, and its
-                # radial is the bisection radial of its (b, s).  The closed
-                # root's discriminant cancels when s is small against the
-                # spread of the breakpoints: 1.6e-14 off on box + the
-                # small-s rounded box in n = 3
+                # radial is the bisection radial of its (b, s)
                 hK, hL, hM = K.support(u), L.support(u), M.support(u)
                 want = np.where(np.isinf(hK) | np.isinf(hL), np.inf, 0.65 * hK + 0.35 * hL)
                 _assert_radials_agree(hM, want)
-                _assert_radials_agree(bd.radial(M, u), _family_radial_bisect(M, u),
-                                      rtol=1e-13)
+                _assert_radials_agree(bd.radial(M, u), _family_radial_bisect(M, u))
+
+    def test_small_s_radial_against_mpmath(self):
+        # s small against the spread of the breakpoints: a root from the
+        # quadratic's discriminant B^2 - A (C - s^2) cancelled to 1.6e-14
+        # at the probe direction; the offset from the last breakpoint
+        # keeps every direction within a few ulps
+        M = bd.interpolate(bd.box([0.7, 0.9, 1.1], 3), _round_boxes(3)[6], 0.35)
+        u = _probe_directions(3, 43)[:64]
+        assert np.abs(u - [-0.536, -0.344, -0.771]).max(axis=1).min() < 1e-3
+        with mp.workdps(40):
+            b, s = [mp.mpf(float(x)) for x in M.params[0]], mp.mpf(M.params[1])
+            for theta, r in zip(u, bd.radial(M, u)):
+                a = [mp.mpf(float(x)) for x in np.abs(theta)]
+                f = lambda t: sum(max(t * ai - bi, 0) ** 2 for ai, bi in zip(a, b)) - s * s
+                lo, hi = mp.mpf(0), mp.mpf(4)
+                for _ in range(140):
+                    mid = (lo + hi) / 2
+                    lo, hi = (lo, mid) if f(mid) >= 0 else (mid, hi)
+                assert abs(r - lo) <= 4e-16 * lo, theta
 
     def test_dilation_factor_needs_the_same_zero_and_infinite_entries(self):
         assert bd.dilation_factor(bd.strip(0.8, 2), bd.ball(1.2, 2)) is None
@@ -404,6 +420,14 @@ class TestOffsetBoxFamily:
         for K in (bd.box([0.6, 0.9], 2), _round_boxes(2)[0], bd.ellipsoid([1.0, 1.0])):
             assert bd.round_cylinder(K) is None, K.label
 
+    def test_one_finite_coordinate_is_a_strip(self):
+        # Box(b) + sB with one finite b_1 is the strip of half-width b_1 + s
+        slab = bd.interpolate(bd.box([0.6, 0.9], 2), bd.strip(0.8, 2), 0.5)
+        assert bd.round_cylinder(slab) == (1, pytest.approx(0.7, rel=1e-15))
+        assert slab.label.startswith("strip")
+        assert bd.offset_box([0.7, np.inf, np.inf], 0.0).params == ((0.0, np.inf, np.inf), 0.7)
+        assert bd.round_cylinder(bd.offset_box([0.5, np.inf], 0.25)) == (1, 0.75)
+
 
 class TestExactRadials:
     """Closed-form rounded-box and translate radials against the bisections
@@ -422,7 +446,9 @@ class TestExactRadials:
         for K in _round_boxes(n):
             b, s = K.params
             act = np.isfinite(b)
-            assert s > 0 and np.any(np.asarray(b)[act] > 0), K.label
+            # in n = 2 a free coordinate leaves one finite one: a strip
+            assert s > 0 and (np.any(np.asarray(b)[act] > 0)
+                              or bd.round_cylinder(K) == (1, s)), K.label
             got = bd.radial(K, th)
             _assert_radials_agree(got, _family_radial_bisect(K, th))
             assert np.all(np.isinf(got[-3:-1])) == (not all(act)), K.label

@@ -250,6 +250,19 @@ class TestVerifyCommand:
         on_disk = json.loads((tmp_path / "saint-venant.json").read_text())
         assert on_disk["margin"] == rep["margin"]
 
+    def test_saint_venant_on_a_strip_interpolant(self, capsys, tmp_path):
+        # box(0.6, 0.9) halfway to strip(0.8) keeps one finite coordinate:
+        # it is strip(0.7), which has the exact strip torsion
+        reps = []
+        for body in ("interp:lambda=0.5;box:a=0.6+0.9|strip:w=0.8", "strip:w=0.7"):
+            code, out, _ = run(["verify", "--check", "saint-venant", "--n", "2",
+                                "--body", body, "--out-dir", str(tmp_path)], capsys)
+            assert code == 0, body
+            reps.append(json.loads(out))
+        assert reps[0]["verdict"] == "pass"
+        for key in ("lhs", "rhs"):
+            assert reps[0][key] == pytest.approx(reps[1][key], rel=1e-12)
+
     def test_conjecture_check_passes(self, capsys, tmp_path):
         code, out, _ = run(["verify", "--check", "conjecture", "--n", "2",
                             "--body", "ball:R=0.5", "--body2", "ball:R=2",

@@ -335,7 +335,7 @@ class TestPartition:
 
     def test_crossings_solved_on_first_access(self, monkeypatch):
         calls = counting(monkeypatch, cyl, "_newton_cross")
-        table = cyl.partition(3)
+        table = cyl.partition(3, np.linspace(0.005, 0.995, 199))
         assert calls == []
         assert len(table.crossings_phi) == 1 and len(calls) == 1
         assert len(table.crossings_s) == 2 and len(calls) == 3
@@ -462,11 +462,12 @@ class TestColdBuilds:
 
     @pytest.fixture
     def cold(self, monkeypatch):
-        cyl.conjecture_transform.cache_clear()
-        cyl.bad_transform.cache_clear()
+        caches = (cyl.conjecture_transform, cyl.bad_transform, cyl._default_partition)
+        for f in caches:
+            f.cache_clear()
         yield counting(monkeypatch, sf, "j_inverse_regularized")
-        cyl.conjecture_transform.cache_clear()
-        cyl.bad_transform.cache_clear()
+        for f in caches:
+            f.cache_clear()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_conjecture_transform_inversions(self, n, cold):
@@ -479,6 +480,16 @@ class TestColdBuilds:
 
     def test_bad_transform_built_once(self, cold):
         assert cyl.bad_transform(3) is cyl.bad_transform(3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_both_transforms_share_one_grid_table(self, n, cold):
+        # each k's 199-point grid is inverted once for the two builds
+        cyl.conjecture_transform(n)
+        cyl.bad_transform(n)
+        grids = sorted(k for k, a in cold if np.ndim(a) == 1 and len(a) == 199)
+        assert grids == list(range(n))
+        assert cyl.partition(n) is cyl.partition(n)
+        assert not cyl.partition(n).phi_values.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_counterexample_family_solves_no_crossing(self, n, monkeypatch):

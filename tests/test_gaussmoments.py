@@ -217,8 +217,9 @@ class TestPolarSample:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_j_table_per_sample(self, n, monkeypatch):
         # the kernel runs for the table's top two orders only, and a
-        # degree-0 integral needs just one
-        calls = counting(monkeypatch, sf, "j_lower")
+        # degree-0 integral needs just one (one call per row on more than
+        # _LOOP_MAX points)
+        calls = counting(monkeypatch, sf, "_j_lower")
         K = bd.box([0.8 + 0.1 * i for i in range(n)], n)
         b = gm.moments_bundle(K, gm.sphere_rule(n, 256))
         b.dir1(np.eye(n)[0])
@@ -273,7 +274,17 @@ PATH_T = (np.arange(9) + 1.0) / 10.0
 ONE = gm.RayPolynomial.constant(1.0)
 
 
+def _scaled_sample_measures(K, c, rule):
+    """(value, err) of the constant 1 on K's sample with rho scaled by c,
+    through a full PolarSample: the reference for a dilate path's rows."""
+    s = gm.polar_sample(K, rule)
+    est = gm.PolarSample(K, s.rule, s.half, s.points, c * s.rho).integral(ONE)
+    return est.value, est.err
+
+
 class TestPathSamples:
+    """gamma and its err along Minkowski paths (``gm.path_measures``)."""
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dilate_paths_match_interpolation(self, n):
         # the scaled sample and the interpolated body's own radial differ
@@ -283,22 +294,38 @@ class TestPathSamples:
         rule = gm.sphere_rule(n, 256)
         for K in _dilate_bases(n):
             L = bd.dilate(K, 1.5)
-            for ti, s in zip(PATH_T, gm.path_samples(K, L, PATH_T, rule)):
-                got = s.integral(ONE)
+            for ti, value, err in zip(PATH_T, *gm.path_measures(K, L, PATH_T, rule)):
                 want = gm.measure(bd.interpolate(K, L, ti), rule)
-                assert got.value == pytest.approx(want.value, rel=1e-14, abs=0), K.label
-                assert got.err == pytest.approx(want.err, rel=1e-14,
-                                                abs=1e-14 * want.value), K.label
+                assert value == pytest.approx(want.value, rel=1e-14, abs=0), K.label
+                assert err == pytest.approx(want.err, rel=1e-14,
+                                            abs=1e-14 * want.value), K.label
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_non_dilate_paths_bit_identical(self, n):
         for K, L, size in _non_dilate_pairs(n):
             rule = gm.sphere_rule(n, size)
             assert bd.dilation_factor(K, L) is None
-            for ti, s in zip(PATH_T, gm.path_samples(K, L, PATH_T, rule)):
-                got = s.integral(ONE)
+            for ti, value, err in zip(PATH_T, *gm.path_measures(K, L, PATH_T, rule)):
                 want = gm.measure(bd.interpolate(K, L, ti), rule)
-                assert (got.value, got.err) == (want.value, want.err), K.label
+                assert (value, err) == (want.value, want.err), K.label
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dilate_rows_match_scaled_samples(self, n):
+        # one J_{n-1} row per t equals the constant 1 integrated on a full
+        # sample of the scaled rho, bit for bit (n = 4: the 3-sigma err);
+        # the n = 3 rule has odd sizes, so its middle points lie on z = 0,
+        # where the strip across x_3 has infinite rays
+        cases = [(K, gm.sphere_rule(n, 256)) for K in _dilate_bases(n)]
+        if n == 3:
+            cases.append((bd.offset_box([np.inf, np.inf, 0.0], 0.8), gm.sphere_rule(3, 255)))
+            assert np.isinf(gm.polar_sample(*cases[-1]).rho).sum() == 2
+        for K, rule in cases:
+            L = bd.dilate(K, 1.5)
+            c = bd.dilation_factor(K, L)
+            values, errs = gm.path_measures(K, L, PATH_T, rule)
+            for ti, value, err in zip(PATH_T, values, errs):
+                want = _scaled_sample_measures(K, 1.0 - ti + ti * c, rule)
+                assert (value, err) == want, (K.label, ti)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dilation_factor(self, n):
@@ -318,13 +345,20 @@ class TestPathSamples:
             assert bd.dilation_factor(K, L) is None, (K.label, L.label)
 
     def test_dilate_path_makes_one_radial_call(self, monkeypatch):
-        calls = counting(monkeypatch, bd, "radial")
+        # and builds no body: neither a dilate nor any other SupportBody
         K = bd.box([0.8, 1.1, 1.3], 3)
-        vf.concavity_check("power:1", K, bd.dilate(K, 1.5), n_t=9)
-        assert len(calls) == 1
+        L = bd.dilate(K, 1.5)
+        calls = counting(monkeypatch, bd, "radial")
+        dilates = counting(monkeypatch, bd, "dilate")
+        bodies = counting(monkeypatch, bd.SupportBody, "__post_init__")
+        vf.concavity_check("power:1", K, L, n_t=9)
+        assert (len(calls), dilates, bodies) == (1, [], [])
         calls.clear()
-        vf.max_power(K, bd.dilate(K, 1.5), n_t=9)
-        assert len(calls) == 1
+        vf.max_power(K, L, n_t=9)
+        assert (len(calls), dilates, bodies) == (1, [], [])
+        calls.clear()
+        vf.s_inequality_check(K)
+        assert (len(calls), dilates, bodies) == (1, [], [])
         calls.clear()
         vf.concavity_check("power:1", K, bd.cylinder(1, 1.0, 3), n_t=9)
         assert len(calls) == 9

@@ -483,6 +483,20 @@ class TestSInequality:
         for row in out["rows"]:
             assert row["margin"] >= -1e-9
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_match_scaled_samples(self, n):
+        # each tK is one J row on K's sample scaled by t: bit for bit the
+        # constant 1 integrated on a full PolarSample of t rho
+        K = bd.box([0.8 + 0.1 * i for i in range(n)], n)
+        rule = gm.sphere_rule(n, 256)
+        s = gm.polar_sample(K, rule)
+        out = vf.s_inequality_check(K, rule)
+        assert out["a"] == out["rows"][0]["dilated"]
+        for row in out["rows"]:
+            est = gm.PolarSample(K, s.rule, s.half, s.points, row["t"] * s.rho).integral(
+                gm.RayPolynomial.constant(1.0))
+            assert (row["dilated"], row["err"]) == (est.value, est.err), row["t"]
+
 
 class TestCounterexampleSearch:
     def test_phi_inv_witness_found_and_confirmed(self):
