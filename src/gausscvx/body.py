@@ -103,7 +103,7 @@ def offset_box(b, s: float) -> SupportBody:
     b, s = tuple(map(float, b)), float(s)
     fin = [math.isfinite(x) for x in b]
     bf = [x for x, f in zip(b, fin) if f]
-    if s < 0 or min(b) < 0 or not bf or min(bf) + s <= 0:
+    if not (s >= 0 and all(x >= 0 for x in b) and bf and min(bf) + s > 0):
         raise BodyError("need b >= 0 with a finite entry, s >= 0 and min(b) + s > 0")
     if len(bf) == 1:  # one finite coordinate: the strip of half-width b_1 + s
         b, s, bf = tuple(0.0 if f else x for x, f in zip(b, fin)), bf[0] + s, [0.0]
@@ -197,7 +197,7 @@ def cylinder(k: int, R: float, n: int) -> SupportBody:
     """Round k-cylinder {|(x_1..x_k)| <= R} in R^n (k=n: ball, k=1: strip)."""
     if not 1 <= k <= n:
         raise BodyError("need 1 <= k <= n")
-    if R <= 0:
+    if not R > 0:
         raise BodyError("R must be positive")
     return offset_box([0.0] * k + [np.inf] * (n - k), R)
 
@@ -214,14 +214,14 @@ def box(half_widths, n: int | None = None) -> SupportBody:
     a = np.asarray(half_widths, dtype=float)
     if n is not None and len(a) != n:
         raise BodyError("box needs one half-width per coordinate")
-    if np.any(a <= 0):
+    if not np.all(a > 0):
         raise BodyError("half-widths must be positive")
     return offset_box(a, 0.0)
 
 
 def lp_ball(r: float, p: float, n: int) -> SupportBody:
-    if r <= 0 or p < 1:
-        raise BodyError("need r > 0 and p >= 1")
+    if not (r > 0 and 1 <= p < np.inf):
+        raise BodyError("need r > 0 and 1 <= p < inf (p = inf is the cube: use box)")
     q = np.inf if p == 1 else p / (p - 1.0)
 
     def support(u):
@@ -245,7 +245,7 @@ def ellipsoid(semi_axes, n: int | None = None) -> SupportBody:
     c = np.asarray(semi_axes, dtype=float)
     if n is not None and len(c) != n:
         raise BodyError("ellipsoid needs one semi-axis per coordinate")
-    if np.any(c <= 0):
+    if not np.all(c > 0):
         raise BodyError("semi-axes must be positive")
     n = len(c)
 
@@ -271,6 +271,8 @@ def translate(body: SupportBody, v) -> SupportBody:
     v = np.asarray(v, dtype=float)
     if v.shape != (body.n,):
         raise BodyError("shift dimension mismatch")
+    if not np.all(np.isfinite(v)):
+        raise BodyError("shift must be finite")
     if body.shifted:
         raise BodyError("translate expects an unshifted body")
     base_support = body.support
@@ -395,6 +397,9 @@ def catalog(name: str, n: int, **params) -> SupportBody:
     )
     if name not in makers:
         raise BodyError(f"unknown body {name!r}")
+    for key, val in params.items():
+        if np.any(np.isnan(np.asarray(val, dtype=float))):
+            raise BodyError(f"body {name!r} parameter {key!r} is NaN")
     try:
         return makers[name]()
     except KeyError as e:

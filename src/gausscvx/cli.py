@@ -66,7 +66,7 @@ class RunConfig:
     tol: float = 0.0          # tolerance override; 0 = per-check default
     grid: int = 99            # measure-grid resolution for tables
     t_points: int = 33        # interpolation-grid size for concavity checks
-    out_dir: str = "."        # destination for reports and figures
+    out_dir: str = "artifacts"  # destination for reports and figures
     body: str = "ball:R=1"    # primary body (grammar: name:key=val,...)
     body2: str = ""           # second body for pair checks; "" = 1.5-dilate
 
@@ -497,7 +497,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, help="table grid resolution")
     p.add_argument("--t-points", type=int, dest="t_points",
                    help="interpolation grid size")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    p.add_argument("--out-dir", dest="out_dir",
+                   help="directory for JSON reports and figures (default: artifacts)")
     p.add_argument("--body", help="primary body string")
     p.add_argument("--body2", help="secondary body string")
 

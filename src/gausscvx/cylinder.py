@@ -44,9 +44,10 @@ replaces min_k phi_k(s) by the torsion/moment lower bound
 with c = J_{n-1}(inf).  By the recurrence J_{n+1} = n J_{n-1} - g_n the
 middle term is c / g_n(R_n(s)) = (log R_n)'(s), so the last two terms
 integrate to log(R_n(s) / s) and only the smooth first term needs
-quadrature.  ``ExpIntegralTransform`` integrates that term on
-piecewise-Chebyshev panels in s and -log(1 - s), then F in u = t^{1/n},
-which absorbs the t^{-(n-1)/n} blow-up at 0, and in -log(1 - t).
+quadrature.  That term is 1/n^2 times one fixed integrand, which
+``ExpIntegralTransform`` integrates once per process on piecewise-Chebyshev
+panels in s and -log(1 - s); it integrates F in u = t^{1/n}, which absorbs
+the t^{-(n-1)/n} blow-up at 0, and in -log(1 - t).
 
 Each transform is an object with a ``name``, a call F(a) and a
 ``slope(a)`` = F'(a).  ``conjecture_transform(n)``, ``weak_transform(n)``
@@ -358,6 +359,9 @@ def _glued_radius(name: str, crossings, k_first: int,
 
 _S_LO, _S_HI = 1e-3, 1.0 - 1e-3
 _U_FLOOR = 1e-8
+_X_HI = -np.log1p(-_S_HI)
+_X_TOP = 53.0 * np.log(2.0)  # -log(1 - s) at the largest double s < 1
+_TWO_E2 = 2.0 * np.e**2
 
 
 def _open_unit(a) -> tuple[np.ndarray, bool]:
@@ -367,41 +371,53 @@ def _open_unit(a) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(aa), aa.ndim == 0
 
 
+@lru_cache(maxsize=None)
+def _unit_inner() -> pn.Cumulative:
+    """n^2 I(s) = int_{1/2}^s phi_inv^2 / (2 e^2 s') ds' on Chebyshev panels
+    in s over [0, 1/2, 1 - 1e-3]; built once and shared by every n."""
+    return pn.Cumulative(lambda s: sf.phi_inv(s) ** 2 / (_TWO_E2 * s),
+                         [0.0, 0.5, _S_HI], 0.5, 0.0)
+
+
+@lru_cache(maxsize=None)
+def _unit_inner_tail() -> pn.Cumulative:
+    """``_unit_inner`` continued above 1 - 1e-3, in x = -log(1 - s); built
+    on first use."""
+
+    def f(x):
+        s = -np.expm1(-x)
+        return np.exp(-x) * sf.phi_inv(s) ** 2 / (_TWO_E2 * s)
+
+    return pn.Cumulative(f, [_X_HI, _X_TOP], _X_HI, _unit_inner().last)
+
+
 class ExpIntegralTransform:
     """``weak_F`` in dimension n: F(a) = int_0^a exp(W(t)) dt.
 
     W(t) = log(R_n(t) / R_n(1/2)) - log 2t + I(t), so the slope is
     exp(W(a)) = R_n(a) e^{I(a)} / (2 a R_n(1/2)), with R_n as in
     ``radius_of_measure`` and the smooth remainder
-    I(t) = int_{1/2}^t phi_inv(s)^2 / (2 e^2 n^2 s) ds integrated on
-    Chebyshev panels in s up to 1 - 1e-3 and in -log(1 - s) above.  F is
+    I(t) = int_{1/2}^t phi_inv(s)^2 / (2 e^2 n^2 s) ds.  n^2 I is
+    tabulated once per process, on Chebyshev panels in s up to 1 - 1e-3
+    and in -log(1 - s) above, and each n scales it by 1/n^2.  F is
     integrated on panels in u = t^{1/n}, where f(u) = n u^{n-1} exp(W(u^n))
     tends to a constant f(0) because R_n(t) ~ t^{1/n}, and in -log(1 - t)
     above 1 - 1e-3; below u = 1e-8, F = f(1e-8) u, which holds to O(u^2).
-    Everything is built here, once, so each value is a fixed function of
-    its argument.
+    The panels above 1 - 1e-3, of I and of F, are built on the first
+    evaluation that reaches there; every panel is fixed once built, so each
+    value is a fixed function of its argument.
     """
 
     name = "weak_F"
 
     def __init__(self, n: int):
         self.n = n = int(n)
-        e2n2 = 2.0 * np.e**2 * n**2
-        x_hi = -np.log1p(-_S_HI)
-        x_top = 53.0 * np.log(2.0)  # -log(1 - s) at the largest double s < 1
+        self._n2 = float(n * n)
         self._two_R_half = 2.0 * sf.j_inverse_regularized(n - 1, 0.5)
-        self._I_mid = pn.Cumulative(lambda s: sf.phi_inv(s) ** 2 / (e2n2 * s),
-                                    [0.0, 0.5, _S_HI], 0.5, 0.0)
-
-        def i_tail(x):
-            s = -np.expm1(-x)
-            return np.exp(-x) * sf.phi_inv(s) ** 2 / (e2n2 * s)
-
-        self._I_tail = pn.Cumulative(i_tail, [x_hi, x_top], x_hi, self._I_mid.last)
         # F's panels grow geometrically up to s = 1e-3, so that F keeps its
         # relative accuracy there, then start on I's
         u_lo = _S_LO ** (1.0 / n)
-        s_edges = self._I_mid.edges
+        s_edges = _unit_inner().edges
         u_edges = np.concatenate([
             np.geomspace(_U_FLOOR, u_lo, int(np.log10(u_lo / _U_FLOOR)) + 2),
             s_edges[s_edges > _S_LO] ** (1.0 / n)])
@@ -413,12 +429,22 @@ class ExpIntegralTransform:
         self._f0 = float(f_u(np.array(_U_FLOOR)))
         self._F_u = pn.Cumulative(f_u, u_edges, _U_FLOOR, self._f0 * _U_FLOOR)
 
+    def _I_mid(self, t: np.ndarray) -> np.ndarray:
+        """I(t) for t up to 1 - 1e-3."""
+        return _unit_inner()(t) / self._n2
+
+    def _I_tail(self, x: np.ndarray) -> np.ndarray:
+        """I at t = 1 - e^{-x}, for t above 1 - 1e-3."""
+        return _unit_inner_tail()(x) / self._n2
+
+    @cached_property
+    def _F_tail(self) -> pn.Cumulative:
         def f_tail(x):
             t = -np.expm1(-x)
             return self._exp_W(t, self._I_tail(x) - x)
 
-        self._F_tail = pn.Cumulative(f_tail, self._I_tail.edges, x_hi,
-                                     self._F_u(u_edges[-1]))
+        return pn.Cumulative(f_tail, _unit_inner_tail().edges, _X_HI,
+                             self._F_u(self._F_u.edges[-1]))
 
     def _exp_W(self, t: np.ndarray, exponent: np.ndarray) -> np.ndarray:
         """R_n(t) e^{exponent} / (2 t R_n(1/2)); exp(W(t)) for exponent I(t)."""
@@ -433,7 +459,8 @@ class ExpIntegralTransform:
         mid = ~(lo | hi)
         out[lo] = self._f0 * u[lo]
         out[mid] = self._F_u(u[mid])
-        out[hi] = self._F_tail(-np.log1p(-aa[hi]))
+        if hi.any():
+            out[hi] = self._F_tail(-np.log1p(-aa[hi]))
         return float(out[0]) if scalar else out
 
     def slope(self, a) -> np.ndarray | float:
@@ -442,7 +469,8 @@ class ExpIntegralTransform:
         integral = np.empty(aa.shape)
         hi = aa > _S_HI
         integral[~hi] = self._I_mid(aa[~hi])
-        integral[hi] = self._I_tail(-np.log1p(-aa[hi]))
+        if hi.any():
+            integral[hi] = self._I_tail(-np.log1p(-aa[hi]))
         out = self._exp_W(aa, integral)
         return float(out[0]) if scalar else out
 

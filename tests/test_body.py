@@ -588,6 +588,36 @@ class TestParsing:
         with pytest.raises(bd.BodyError, match="'w'"):
             bd.parse_body("strip:R=0.5", 2)
 
+    @pytest.mark.parametrize("text", [
+        "ball:R=nan", "strip:w=nan", "cylinder:k=nan,R=1", "cylinder:k=1,R=nan",
+        "box:a=nan+1", "box:a=0.5+nan", "lp_ball:r=nan,p=2", "lp_ball:r=1,p=nan",
+        "ellipsoid:c=1+nan", "translate:v=nan+0;ball:R=1",
+        "interp:lambda=nan;ball:R=1|ball:R=2", "interp:lambda=0.5;ball:R=1|ball:R=nan",
+    ])
+    def test_nan_parameters_are_refused(self, text):
+        with pytest.raises(bd.BodyError):
+            bd.parse_body(text, 2)
+
+    def test_constructors_refuse_nan(self):
+        nan = float("nan")
+        for make in (lambda: bd.ball(nan, 2), lambda: bd.box([nan, 1.0]),
+                     lambda: bd.offset_box([0.5, 1.0], nan),
+                     lambda: bd.ellipsoid([1.0, nan]), lambda: bd.lp_ball(1.0, nan, 2),
+                     lambda: bd.translate(bd.ball(1.0, 2), [nan, 0.0])):
+            with pytest.raises(bd.BodyError):
+                make()
+
+    def test_lp_ball_refuses_infinite_p(self):
+        # q = p / (p - 1) would be NaN, and |t|**inf would turn the radial
+        # into that of the ball of radius r; the cube is box
+        with pytest.raises(bd.BodyError, match="box"):
+            bd.parse_body("lp_ball:r=1,p=inf", 2)
+
+    def test_infinite_box_half_width_is_a_free_coordinate(self):
+        K = bd.parse_body("box:a=0.5+inf", 2)
+        th = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        np.testing.assert_array_equal(bd.radial(K, th), bd.radial(bd.strip(0.5, 2), th))
+
 
 @settings(max_examples=30, deadline=None)
 @given(lam=st.floats(min_value=0.0, max_value=1.0),

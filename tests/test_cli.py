@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -250,6 +251,17 @@ class TestVerifyCommand:
         on_disk = json.loads((tmp_path / "saint-venant.json").read_text())
         assert on_disk["margin"] == rep["margin"]
 
+    def test_report_goes_to_artifacts_by_default(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # without --out-dir the report lands in ./artifacts, which
+        # .gitignore lists, not in the current directory
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(["verify", "--check", "saint-venant", "--n", "2",
+                            "--body", "ball:R=1"], capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifacts"]
+        assert (tmp_path / "artifacts" / "saint-venant.json").read_text() == out
+
     def test_saint_venant_on_a_strip_interpolant(self, capsys, tmp_path):
         # box(0.6, 0.9) halfway to strip(0.8) keeps one finite coordinate:
         # it is strip(0.7), which has the exact strip torsion
@@ -386,6 +398,24 @@ class TestUsageErrors:
                              capsys)
         assert code == 2
         assert "'w'" in err and out == ""
+
+    @pytest.mark.parametrize("body", ["ball:R=nan", "box:a=nan+1", "lp_ball:r=1,p=nan",
+                                      "lp_ball:r=1,p=inf", "translate:v=nan+0;ball:R=1"])
+    def test_nan_or_infinite_p_body_is_usage_error(self, body, capsys, tmp_path):
+        # ball:R=nan used to report a NaN measure, and lp_ball with p = inf
+        # the disk's measure 1 - e^{-1/2}, both with exit 0
+        code, out, err = run(["measure", "--n", "2", "--body", body,
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "error" in err and out == ""
+
+    def test_infinite_box_half_width_measures_the_strip(self, capsys, tmp_path):
+        code, out, _ = run(["measure", "--n", "2", "--body", "box:a=0.5+inf",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["value"] == pytest.approx(math.erf(0.5 / math.sqrt(2)),
+                                             abs=3 * rep["err"] + 1e-9)
 
     def test_unsupported_dimension(self, capsys, tmp_path):
         code, _, err = run(["measure", "--n", "5", "--out-dir", str(tmp_path)],

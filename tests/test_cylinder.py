@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from gausscvx import cylinder as cyl
+from gausscvx import panels as pn
 from gausscvx import specfun as sf
 from gausscvx import verify as vf
 
@@ -439,12 +440,14 @@ class TestTransforms:
     @pytest.mark.parametrize("n", [2, 3])
     def test_values_independent_of_call_history(self, n):
         # the same point on a fresh transform and on one that has already
-        # evaluated 12 others must give bit-identical values
+        # evaluated 12 others must give bit-identical values, in the middle
+        # and on the tail panels, which the first tail point builds
         fresh = cyl.ExpIntegralTransform(n)
         used = cyl.ExpIntegralTransform(n)
         for a in np.linspace(0.03, 0.97, 12):
             used(a), used.slope(a)
-        assert (used(0.37), used.slope(0.37)) == (fresh(0.37), fresh.slope(0.37))
+        for a in (0.37, 1.0 - 1e-6):
+            assert (used(a), used.slope(a)) == (fresh(a), fresh.slope(a))
 
     def test_log_slope_derivative_matches_min_phi(self):
         # the defining property: (log F')' = min_k phi_k
@@ -458,11 +461,13 @@ class TestTransforms:
 class TestColdBuilds:
     """A cold build inverts R_k n times on the grid and once per side for
     each Newton step and each glued piece; each transform solves only its
-    own argmin family's crossings."""
+    own argmin family's crossings.  weak_F tabulates n^2 I once for every n
+    and builds its tail panels on the first read above 1 - 1e-3."""
 
     @pytest.fixture
     def cold(self, monkeypatch):
-        caches = (cyl.conjecture_transform, cyl.bad_transform, cyl._default_partition)
+        caches = (cyl.conjecture_transform, cyl.bad_transform, cyl._default_partition,
+                  cyl.weak_transform, cyl._unit_inner, cyl._unit_inner_tail)
         for f in caches:
             f.cache_clear()
         yield counting(monkeypatch, sf, "j_inverse_regularized")
@@ -490,6 +495,22 @@ class TestColdBuilds:
         assert grids == list(range(n))
         assert cyl.partition(n) is cyl.partition(n)
         assert not cyl.partition(n).phi_values.flags.writeable
+
+    def test_weak_builds_one_inner_table_and_tails_on_first_read(self, cold,
+                                                                  monkeypatch):
+        builds = counting(monkeypatch, pn, "Cumulative")
+        below_tail = np.linspace(0.01, 1.0 - 1e-3, 7)
+        for n in (2, 3):
+            tr = cyl.weak_transform(n)
+            tr(below_tail), tr.slope(below_tail)
+        # n^2 I is tabulated once for both n, plus one F table per n
+        assert len(builds) == 3
+        tr.slope(1.0 - 1e-6)
+        assert len(builds) == 4  # the tail of n^2 I, shared by every n
+        tr(1.0 - 1e-6)
+        assert len(builds) == 5  # F's tail for n = 3
+        cyl.weak_transform(2)(1.0 - 1e-6), tr(1.0 - 1e-9)
+        assert len(builds) == 6  # F's tail for n = 2; n = 3's is kept
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_counterexample_family_solves_no_crossing(self, n, monkeypatch):
