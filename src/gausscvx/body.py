@@ -385,25 +385,39 @@ def _last_root(f, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     return out
 
 
+# catalog name -> (its parameters in maker order, maker(*params, n))
+_CATALOG = {
+    "ball": (("R",), ball),
+    "strip": (("w",), strip),
+    "cylinder": (("k", "R"), lambda k, R, n: cylinder(_whole("k", k), R, n)),
+    "box": (("a",), box),
+    "lp_ball": (("r", "p"), lp_ball),
+    "ellipsoid": (("c",), ellipsoid),
+}
+
+
+def _whole(key: str, val) -> int:
+    """val as an int; BodyError unless it is one whole number."""
+    if np.ndim(val) or not float(val).is_integer():
+        raise BodyError(f"parameter {key!r} must be a whole number, got {val!r}")
+    return int(val)
+
+
 def catalog(name: str, n: int, **params) -> SupportBody:
-    """Build a catalog body by name; see the module docstring for the list."""
-    makers = dict(
-        ball=lambda: ball(params["R"], n),
-        strip=lambda: strip(params["w"], n),
-        cylinder=lambda: cylinder(int(params["k"]), params["R"], n),
-        box=lambda: box(params["a"], n),
-        lp_ball=lambda: lp_ball(params["r"], params["p"], n),
-        ellipsoid=lambda: ellipsoid(params["c"], n),
-    )
-    if name not in makers:
+    """Build a catalog body by name; see the module docstring for the list.
+    Every parameter of the body is required and no other is accepted."""
+    if name not in _CATALOG:
         raise BodyError(f"unknown body {name!r}")
+    keys, make = _CATALOG[name]
+    for key in keys:
+        if key not in params:
+            raise BodyError(f"body {name!r} needs parameter {key!r}")
     for key, val in params.items():
+        if key not in keys:
+            raise BodyError(f"body {name!r} has no parameter {key!r}")
         if np.any(np.isnan(np.asarray(val, dtype=float))):
             raise BodyError(f"body {name!r} parameter {key!r} is NaN")
-    try:
-        return makers[name]()
-    except KeyError as e:
-        raise BodyError(f"body {name!r} needs parameter {e.args[0]!r}") from None
+    return make(*(params[key] for key in keys), n)
 
 
 # ---------------------------------------------------------------------------
@@ -698,18 +712,58 @@ def dilate(K: SupportBody, c: float) -> SupportBody:
 # textual body grammar (documented in the cli module)
 
 
+_VECTOR_KEYS = ("a", "c", "v")  # parameters that take `+`-separated vectors
+
+
+def _params(text: str) -> dict:
+    """`key=val,...` as {key: float}, or a list of floats for the vector
+    keys; BodyError on an item without `=`, a value that is not a number,
+    a vector for a scalar key, or a key given twice.  Empty items (a
+    trailing comma) are skipped."""
+    params: dict = {}
+    for item in text.split(","):
+        if not item:
+            continue
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise BodyError(f"parameter {item!r} is not key=value")
+        if key in params:
+            raise BodyError(f"parameter {key!r} given twice")
+        try:
+            vals = [float(x) for x in val.split("+")]
+        except ValueError:
+            raise BodyError(f"parameter {key!r} is not a number: {val!r}") from None
+        if key in _VECTOR_KEYS:
+            params[key] = vals
+        elif len(vals) == 1:
+            params[key] = vals[0]
+        else:
+            raise BodyError(f"parameter {key!r} takes one number, got {val!r}")
+    return params
+
+
+def _combinator(text: str, key: str):
+    """(value of `key`, operand text) of `name:key=x;<operand>`; BodyError
+    unless the head holds exactly that parameter."""
+    head, semi, rest = text.partition(";")
+    params = _params(head.partition(":")[2])
+    if not semi or set(params) != {key}:
+        raise BodyError(f"expected {head.partition(':')[0]}:{key}=...;<body>, got {text!r}")
+    return params[key], rest
+
+
 def parse_body(text: str, n: int) -> SupportBody:
     """Parse `name:key=val,...`; vectors use `+`; combinators:
-    `interp:lambda=x;<body>|<body>` and `translate:v=a+b;<body>`."""
+    `interp:lambda=x;<body>|<body>` and `translate:v=a+b;<body>`.
+    Every malformed string raises ``BodyError``."""
     text = text.strip()
     if text.startswith("interp:"):
-        head, rest = text.split(";", 1)
-        lam = float(head.split("lambda=", 1)[1])
+        lam, rest = _combinator(text, "lambda")
         left, right = _split_top(rest)
         return interpolate(parse_body(left, n), parse_body(right, n), lam)
     if text.startswith("translate:"):
-        head, rest = text.split(";", 1)
-        v = [float(x) for x in head.split("v=", 1)[1].split("+")]
+        v, rest = _combinator(text, "v")
         K = parse_body(rest, n)
         T = translate(K, v)
         if gauge(K, -T.shift) >= 1.0:
@@ -718,21 +772,11 @@ def parse_body(text: str, n: int) -> SupportBody:
     if ":" not in text:
         raise BodyError(f"malformed body string {text!r}")
     name, params_text = text.split(":", 1)
-    params: dict = {}
-    for item in params_text.split(","):
-        if not item:
-            continue
-        key, val = item.split("=", 1)
-        params[key.strip()] = (
-            [float(x) for x in val.split("+")] if "+" in val else float(val)
-        )
-    for key in ("a", "c"):
-        if key in params and not isinstance(params[key], list):
-            params[key] = [params[key]]
+    params = _params(params_text)
     # an explicit in-string dimension (e.g. cylinder:k=2,R=1,n=3) overrides
     # the run-level default
     if "n" in params:
-        n = int(params.pop("n"))
+        n = _whole("n", params.pop("n"))
     return catalog(name.strip(), n, **params)
 
 

@@ -11,14 +11,16 @@ verify          run a named inequality check and write a JSON report
 plot            self-contained SVG line charts of the profile functions
 
 Exit codes: 0 = pass, 1 = a verified violation, 2 = usage error (an
-unknown check included), 3 = numerical failure.  ``verify`` runs one row
-of ``CHECKS`` and maps its verdict through ``VERDICT_EXIT``: pass -> 0,
-violation -> 1, inconclusive -> 3 (a concavity check whose error budget
-cannot decide), witness and none -> 0 (a counterexample search's witness
-is its finding, inside the report, not a failure).  ``--tol`` overrides
-the default tolerance of the other checks; it does not affect ehrhard,
-conjecture, weak or the counterexample searches, whose verdicts come from
-the concavity check's error budget.
+unknown check and a malformed body string included), 3 = numerical
+failure, 4 = internal error (an exception no other code covers; its
+traceback goes to stderr).  ``verify`` runs one row of ``CHECKS`` and
+maps its verdict through ``VERDICT_EXIT``: pass -> 0, violation -> 1,
+inconclusive -> 3 (a concavity check whose error budget cannot decide),
+witness and none -> 0 (a counterexample search's witness is its finding,
+inside the report, not a failure).  ``--tol`` overrides the default
+tolerance of the other checks; it does not affect ehrhard, conjecture,
+weak or the counterexample searches, whose verdicts come from the
+concavity check's error budget.
 
 Bodies are given in the grammar of ``body.parse_body``:
 ``name:key=val,...`` composed with ``interp:lambda=x;<body>|<body>``.
@@ -31,6 +33,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +51,7 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +585,10 @@ def main(argv=None) -> int:
             vf.VerificationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception:
+        # a crash must not exit 1, which means a verified violation
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

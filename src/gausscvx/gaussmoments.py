@@ -17,9 +17,10 @@ on evaluation order.
 
 Integrands are ``RayPolynomial``s: sums of terms c x^m |x|^a ||x||_K^g
 held as data, one class for the moments here, the torsion test functions
-and the calculus of ``verify.MultiPoly``.  ``RayPolynomial.coeffs`` is the
-one place a polynomial is lowered to the ray coefficients a_j(theta),
-from the directions and the sampled rho.
+and the calculus of ``verify.MultiPoly``.  ``RayColumns.term`` is the one
+place a term is lowered to its ray coefficient c theta^m rho^-g, from the
+directions and the sampled rho; it computes each power theta_i^e and
+rho^g once per set of directions and keeps it.
 
 A ``PolarSample`` holds rho on a rule's points stacked with its nested
 half rule's, so a body's radial function is evaluated in one call per
@@ -28,8 +29,15 @@ it.  It also keeps one table of J_{n-1+j}(rho), j = 0..deg: the kernel
 gives the top two orders and the downward recurrence
 J_p = (J_{p+2} + g_{p+1}) / (p + 1) the rest (``specfun.j_lower_orders``),
 so a batch of integrals (``PolarSample.integrals``) and the integrals that
-follow it at no higher degree reuse one table.  ``measure`` and
-``ray_integral`` are one-shot forms over a fresh sample.
+follow it at no higher degree reuse one table.  A batch is one pass: each
+integrand is lowered once on the sample's kept columns, its per-direction
+row sum_j a_j(theta) J_{n-1+j}(rho) is built degree by degree, and one
+reduction over the last axis takes every row's full- and half-rule sums
+(or its standard deviation for the n=4 rule).  A row-wise ``np.sum`` or
+``np.std`` is bit for bit the 1-D call on that row, so a batch gives the
+same Estimates as its integrands taken one at a time on the same table.
+A check asks for the integrals it reads, in one batch per sample.
+``measure`` and ``ray_integral`` are one-shot forms over a fresh sample.
 
 ``path_measures`` gives gamma and its err along a Minkowski path
 (1 - t) K + t L.  When L is a dilate cK, rho_{K_t} = (1 - t + t c) rho_K
@@ -108,7 +116,7 @@ class RayPolynomial:
     m is an exponent tuple with trailing zeros dropped, so the
     dimension-free atoms and coordinate monomials share one key space;
     zero terms are pruned.  K enters only through its sampled radial
-    function when ``coeffs`` lowers f to ray coefficients.
+    function when f is lowered to ray coefficients (``ray_columns``).
     """
 
     def __init__(self, terms: dict):
@@ -176,24 +184,54 @@ class RayPolynomial:
     def degree(self) -> int:
         return max((sum(m) + a + g for m, a, g in self.terms), default=0)
 
+    def ray_columns(self, cols: "RayColumns") -> dict:
+        """{j: a_j(theta)} with f(t theta) = sum_j a_j(theta) t^j on the
+        directions of ``cols``: each column sums its terms in term order.
+        A column with no direction factor stays a scalar."""
+        out: dict = {}
+        for (m, a, g), c in self.terms.items():
+            j = sum(m) + a + g
+            t = cols.term(m, g, c)
+            out[j] = out[j] + t if j in out else t
+        return out
+
     def coeffs(self, dirs: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """(n_dirs, degree + 1) array A with f(t theta) = sum_j A[:, j] t^j
-        at the directions theta = dirs, where rho is K's radial function.
-
-        A term adds c theta^m rho^-g to column |m| + a + g; rho^-g is 0 on
-        rays that never leave K, and on the empty rays (rho = 0) of a
-        translate whose origin lies outside it.
-        """
+        at the directions theta = dirs, where rho is K's radial function."""
         out = np.zeros((len(dirs), self.degree + 1))
-        for (m, a, g), c in self.terms.items():
-            col = np.full(len(dirs), c)
-            for i, e in enumerate(m):
-                if e:
-                    col = col * dirs[:, i] ** e
-            if g:
-                col = np.divide(col, rho**g, out=np.zeros_like(col), where=rho > 0)
-            out[:, sum(m) + a + g] += col
+        for j, col in self.ray_columns(RayColumns(dirs, rho)).items():
+            out[:, j] += col
         return out
+
+
+class RayColumns:
+    """The powers theta_i^e and rho^g on one set of directions, each
+    computed once and kept: the one place a term c x^m |x|^a ||x||_K^g is
+    lowered to its ray coefficient c theta^m rho^-g (``term``).
+
+    rho^-g is 0 on rays that never leave K, and on the empty rays
+    (rho = 0) of a translate whose origin lies outside it.
+    """
+
+    def __init__(self, dirs: np.ndarray, rho: np.ndarray | None):
+        self.dirs, self.rho = dirs, rho
+        self._theta: dict = {}
+        self._rho: dict = {}
+
+    def term(self, m: tuple, g: int, c: float):
+        """c theta^m rho^-g; the scalar c when m and g are empty."""
+        col = c
+        for i, e in enumerate(m):
+            if e:
+                if (i, e) not in self._theta:
+                    self._theta[i, e] = self.dirs[:, i] ** e
+                col = col * self._theta[i, e]
+        if g:
+            if g not in self._rho:
+                # an infinite divisor gives the 0 of empty and unbounded rays
+                self._rho[g] = np.where(self.rho > 0, self.rho**g, np.inf)
+            col = col / self._rho[g]
+        return col
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +260,6 @@ def _half_rule(rule: SphereRule) -> SphereRule:
     # quarter-period-shifted midpoint rule whose leading Fourier error mode
     # vanishes for even integrands, silently reproducing the full rule
     return sphere_rule(rule.n, rule.size // 2)
-
-
-def _polar_sum(rule: SphereRule, per_dir: np.ndarray) -> float:
-    norm = (2.0 * np.pi) ** (-rule.n / 2.0)
-    return float(norm * rule.weight * np.sum(per_dir))
 
 
 @lru_cache(maxsize=32)
@@ -262,6 +295,10 @@ class PolarSample:
     points: np.ndarray
     rho: np.ndarray
     _J: np.ndarray | None = field(default=None, init=False, repr=False)
+    _cols: RayColumns = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._cols = RayColumns(self.points, self.rho)
 
     def _orders(self, deg: int) -> np.ndarray:
         if self._J is None or len(self._J) <= deg:
@@ -269,23 +306,27 @@ class PolarSample:
             self._J = sf.j_lower_orders(n - 1, n - 1 + deg, self.rho)
         return self._J
 
-    def _estimate(self, A: np.ndarray, J: np.ndarray) -> Estimate:
-        per_dir = np.zeros(len(self.rho))
-        for j in range(A.shape[1]):
-            col = A[:, j]
-            if np.any(col != 0.0):
-                per_dir += col * J[j]
-        return Estimate(*self._value_err(per_dir), "quadrature")
-
-    def _value_err(self, per_dir: np.ndarray) -> tuple[float, float]:
-        m = self.rule.size
-        val = _polar_sum(self.rule, per_dir[:m])
+    def _sums(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and errs of the polar sums of per-direction rows (the
+        last axis), every row in one reduction: the full rule's sum, err
+        its difference from the half rule's, or 3 standard errors for the
+        Monte Carlo rule."""
+        n, m = self.K.n, self.rule.size
+        norm = (2.0 * np.pi) ** (-n / 2.0)
+        val = norm * self.rule.weight * np.sum(rows[..., :m], axis=-1)
         if self.half is None:
-            norm = (2.0 * np.pi) ** (-self.K.n / 2.0) * bd.sphere_area(self.K.n)
-            err = 3.0 * norm * float(np.std(per_dir)) / np.sqrt(m)
+            scale = norm * bd.sphere_area(n)
+            err = 3.0 * scale * np.std(rows, axis=-1) / np.sqrt(m)
         else:
-            err = abs(val - _polar_sum(self.half, per_dir[m:]))
-        return val, err + 1e-13 * max(1.0, abs(val))
+            err = np.abs(val - norm * self.half.weight * np.sum(rows[..., m:], axis=-1))
+        return val, err + 1e-13 * np.maximum(1.0, np.abs(val))
+
+    def _lower(self, f) -> dict:
+        """f's ray coefficients on the sample's points, {j: a_j(theta)}."""
+        if isinstance(f, RayPolynomial):
+            return f.ray_columns(self._cols)
+        A = np.asarray(f(self.points, self.rho), dtype=float)
+        return {j: A[:, j] for j in range(A.shape[1])}
 
     def integrals(self, *fs) -> list[Estimate]:
         """Unnormalized int_K f dgamma for each f by the polar rule, over
@@ -294,12 +335,25 @@ class PolarSample:
 
         Each f is a RayPolynomial or, for an integrand that is polynomial
         along each ray but not a RayPolynomial, a function (dirs, rho) ->
-        ray coefficients shaped like ``RayPolynomial.coeffs``.
+        ray coefficients shaped like ``RayPolynomial.coeffs``.  Each f is
+        lowered once; its per-direction row sum_j a_j J_{n-1+j}(rho) is
+        built degree by degree, and one reduction sums every row.  Rows
+        go in blocks of at most the table's row count, so no temporary
+        outgrows the table.
         """
-        coeffs = [f.coeffs if isinstance(f, RayPolynomial) else f for f in fs]
-        As = [np.asarray(c(self.points, self.rho), dtype=float) for c in coeffs]
-        J = self._orders(max(A.shape[1] for A in As) - 1)
-        return [self._estimate(A, J) for A in As]
+        lowered = [self._lower(f) for f in fs]
+        J = self._orders(max(max(cols, default=0) for cols in lowered))
+        out = []
+        for lo in range(0, len(lowered), len(J)):
+            block = lowered[lo:lo + len(J)]
+            rows = np.zeros((len(block), len(self.rho)))
+            for row, cols in zip(rows, block):
+                for j in sorted(cols):
+                    row += cols[j] * J[j]
+            values, errs = self._sums(rows)
+            out += [Estimate(v, e, "quadrature")
+                    for v, e in zip(values.tolist(), errs.tolist())]
+        return out
 
     def integral(self, f) -> Estimate:
         """``integrals`` of the one integrand f."""
@@ -308,7 +362,8 @@ class PolarSample:
     def scaled_measure(self, c: float) -> tuple[float, float]:
         """gamma(cK), c > 0, and its err: ``integral`` of 1 on rho_{cK} =
         c rho_K bit for bit, from the one kernel row J_{n-1}(c rho)."""
-        return self._value_err(sf.j_lower(self.K.n - 1, c * self.rho))
+        value, err = self._sums(sf.j_lower(self.K.n - 1, c * self.rho))
+        return float(value), float(err)
 
 
 def polar_sample(K: bd.SupportBody, rule: SphereRule | None = None) -> PolarSample:

@@ -107,17 +107,23 @@ def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
     bounds the F = 1 torsion only, so it participates in the returned
     value just for F = 1; both numbers are recorded.
     """
-    b = bundle or gm.moments_bundle(K)
     r = bd.inradius(K)
     if r is None:
         raise ValueError("in-radius unavailable for this body")
-    one_minus_g2 = gm.RayPolynomial.constant(1.0) - gm.RayPolynomial.gauge_power(2)
-    cross = b.sample.integral(F * one_minus_g2).over(b.a)
-    last_touch = r * r * cross.value**2 / (4.0 * b.gK2.value)
-    lt_err = (2.0 * r * r * abs(cross.value) * cross.err / (4.0 * b.gK2.value)
-              + last_touch * b.gK2.err / b.gK2.value)
-    floor = float(sf.phi_inv(b.a.value)) ** 2 / (4.0 * np.e**2 * K.n**2)
-    is_const1 = F.terms == gm.RayPolynomial.constant(1.0).terms
+    one, gauge2 = gm.RayPolynomial.constant(1.0), gm.RayPolynomial.gauge_power(2)
+    load = F * (one - gauge2)
+    if bundle is None:
+        a, g2, cross = gm.polar_sample(K).integrals(one, gauge2, load)
+        gK2 = g2.over(a)
+    else:
+        a, gK2 = bundle.a, bundle.gK2
+        cross = bundle.sample.integral(load)
+    cross = cross.over(a)
+    last_touch = r * r * cross.value**2 / (4.0 * gK2.value)
+    lt_err = (2.0 * r * r * abs(cross.value) * cross.err / (4.0 * gK2.value)
+              + last_touch * gK2.err / gK2.value)
+    floor = float(sf.phi_inv(a.value)) ** 2 / (4.0 * np.e**2 * K.n**2)
+    is_const1 = F.terms == one.terms
     value = max(last_touch, floor) if is_const1 else last_touch
     return TorsionResult(
         value, lt_err, "gauge_lower",
@@ -127,7 +133,7 @@ def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
 
 def torsion_one(K: bd.SupportBody) -> TorsionResult:
     """The F = 1 torsion of K: exact on round cylinders (strips and balls
-    included), else the gauge lower bound on K's default-rule bundle."""
+    included), else the gauge lower bound on K's default-rule sample."""
     rc = bd.round_cylinder(K)
     if rc is not None:
         return torsion_radial(*rc, np.ones_like)

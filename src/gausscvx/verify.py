@@ -516,14 +516,18 @@ def moment_inequality_suite(K: bd.SupportBody,
     The shifted-body directional test translates K by fractions of its
     in-radius and checks E<X,th>^2 + eta(a) (E<X,th>)^2 <= 1.
     """
-    b = gm.moments_bundle(K, rule)
     n = K.n
-    m2, m4 = b.m2.value, b.m4.value
+    a, x2, x4, *axes = gm.polar_sample(K, rule).integrals(
+        gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2),
+        gm.RayPolynomial.abs_x_power(4),
+        *(gm.RayPolynomial.dot_power(e, 2) for e in np.eye(n)))
+    m2e, m4e = x2.over(a), x4.over(a)
+    m2, m4 = m2e.value, m4e.value
     alpha = _alpha_from(n, m2, m4)
     beta = _beta_from(n, m2, m4)
-    dir2 = [b.dir2(np.eye(n)[i]).value for i in range(n)]
+    dir2 = [d.over(a).value for d in axes]
     report = {
-        "a": float(b.a.value),
+        "a": float(a.value),
         "m2": float(m2), "m4": float(m4),
         "alpha": float(alpha), "beta": float(beta),
         "margins": {
@@ -533,21 +537,22 @@ def moment_inequality_suite(K: bd.SupportBody,
             "alpha": float(1.0 - alpha),
             "beta": float(beta + 1.0),
         },
-        "err": float(b.m2.err + b.m4.err + b.a.err),
+        "err": float(m2e.err + m4e.err + a.err),
         "shifted": [],
     }
     r = bd.inradius(K)
     if K.symmetric and r is not None and np.isfinite(r):
         theta = np.zeros(n)
         theta[0] = 1.0
+        fs = [gm.RayPolynomial.constant(1.0), gm.RayPolynomial.dot_power(theta, 1),
+              gm.RayPolynomial.dot_power(theta, 2)]
         for frac in eta_shifts:
             KT = bd.translate(K, frac * r * theta)
-            bt = gm.moments_bundle(KT, rule)
-            d1 = bt.dir1(theta).value
-            d2 = bt.dir2(theta).value
-            margin = 1.0 - d2 - float(sf.eta(bt.a.value)) * d1 * d1
+            at, d1, d2 = gm.polar_sample(KT, rule).integrals(*fs)
+            d1, d2 = d1.over(at).value, d2.over(at).value
+            margin = 1.0 - d2 - float(sf.eta(at.value)) * d1 * d1
             report["shifted"].append({
-                "shift": float(frac * r), "a": float(bt.a.value),
+                "shift": float(frac * r), "a": float(at.value),
                 "dir1": float(d1), "dir2": float(d2),
                 "margin": float(margin),
             })

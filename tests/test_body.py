@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gausscvx import body as bd
 
 import oracles
+from body_strings import body_strings
 
 
 def _unit(v):
@@ -587,6 +588,33 @@ class TestParsing:
             bd.catalog("cylinder", 2, k=5, R=1.0)
         with pytest.raises(bd.BodyError, match="'w'"):
             bd.parse_body("strip:R=0.5", 2)
+
+    @pytest.mark.parametrize("text", [
+        "translate:;ball:R=2", "translate:ball:R=2", "translate:v=0.1+0,w=1;ball:R=1",
+        "interp:lambda=0.5", "interp:;ball:R=1|ball:R=2",
+        "interp:lambda=0.2+0.5;ball:R=1|ball:R=2",
+        "ball:R", "ball:R=", "ball:R=abc", "box:a=1+x",
+        "cylinder:k=1.5,R=1", "ball:R=1,n=2.5", "cylinder:k=1+1,R=1",
+        "ball:R=1,foo=2", "ball:R=1,R=2", "ball:R=1+2",
+    ])
+    def test_malformed_strings_raise_body_error(self, text):
+        # a missing v= or lambda=, an item without =, a value that is not
+        # a number, a fractional n or k, an unknown or repeated key
+        with pytest.raises(bd.BodyError):
+            bd.parse_body(text, 2)
+
+    def test_whole_number_dimension_and_k(self):
+        K = bd.parse_body("cylinder:k=2.0,R=0.9,n=3.0", 2)
+        assert (K.n, bd.round_cylinder(K)) == (3, (2, 0.9))
+
+    @settings(max_examples=300, deadline=None)
+    @given(body_strings)
+    def test_any_grammar_string_parses_or_raises_body_error(self, text):
+        try:
+            K = bd.parse_body(text, 2)
+        except bd.BodyError:
+            return
+        assert isinstance(K, bd.SupportBody)
 
     @pytest.mark.parametrize("text", [
         "ball:R=nan", "strip:w=nan", "cylinder:k=nan,R=1", "cylinder:k=1,R=nan",

@@ -1,23 +1,28 @@
 """Command-line surface: exit codes, emitted artifacts, config handling."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.optimize import brentq
 
 from gausscvx import cli
 from gausscvx import cylinder as cyl
 from gausscvx import specfun as sf
 
+from body_strings import body_strings
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -423,6 +428,16 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("body", ["translate:;ball:R=2", "ball:R", "ball:R=abc",
+                                      "cylinder:k=1.5,R=1", "ball:R=1,foo=2",
+                                      "ball:R=1,R=2", "interp:lambda=0.5"])
+    def test_malformed_body_string_is_usage_error(self, body, capsys, tmp_path):
+        # translate:;ball:R=2 used to end in an IndexError traceback and exit 1
+        code, out, err = run(["measure", "--body", body, "--out-dir", str(tmp_path)],
+                             capsys)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(["transmogrify"], capsys)
         assert code == 2
@@ -431,6 +446,41 @@ class TestUsageErrors:
         code, out, _ = run(["--help"], capsys)
         assert code == 0
         assert "gausscvx" in out
+
+
+class TestInternalErrors:
+    def test_uncaught_exception_exits_four_with_traceback(self, capsys, tmp_path,
+                                                          monkeypatch):
+        def broken_row(cfg):
+            raise RuntimeError("broken check")
+
+        monkeypatch.setitem(cli.CHECKS, "stub", broken_row)
+        code, out, err = run(["verify", "--check", "stub",
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert "Traceback" in err and "RuntimeError: broken check" in err
+        assert out == ""
+
+    def test_module_entry_point_help(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "gausscvx", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "usage: gausscvx" in done.stdout
+
+    @settings(max_examples=40, deadline=None)
+    @given(body_strings)
+    def test_fuzzed_body_strings_never_exit_one(self, text):
+        # a malformed string is a usage error (2), a body the quadrature
+        # cannot measure a numerical failure (3); never a violation (1)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["measure", "--body", text, "--rule-size", "64",
+                             "--out-dir", tmp])
+        assert code in (0, 2, 3), (text, err.getvalue())
 
 
 class TestConfigFile:

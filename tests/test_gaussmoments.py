@@ -105,6 +105,13 @@ class TestMomentClosedForms:
 
 
 class TestRayIntegral:
+    def test_gauge_columns_vanish_on_empty_and_unbounded_rays(self):
+        # rho = 0 (a ray that misses a translate) and rho = inf both give 0
+        dirs = np.eye(2)[[0, 1, 0]]
+        rho = np.array([0.0, np.inf, 2.0])
+        A = (gm.RayPolynomial.gauge_power(2) * -3.0).coeffs(dirs, rho)
+        assert A[:, 2].tolist() == [0.0, 0.0, -0.75]
+
     def test_linearity(self):
         K = bd.catalog("ellipsoid", 2, c=(0.9, 1.6))
         f = gm.RayPolynomial.abs_x_power(2)
@@ -178,6 +185,36 @@ def _separate_rule_integrals(K, rule, fs):
     return out
 
 
+def _loop_integral(s, f):
+    """(value, err) of f on sample s by the per-integrand loop a batch
+    replaces: dense ray coefficients term by term, one row, then 1-D sums
+    (one np.std for the n=4 rule) on the sample's J table."""
+    if isinstance(f, gm.RayPolynomial):
+        A = np.zeros((len(s.points), f.degree + 1))
+        for (m, a, g), c in f.terms.items():
+            col = np.full(len(s.points), c)
+            for i, e in enumerate(m):
+                if e:
+                    col = col * s.points[:, i] ** e
+            if g:
+                col = np.divide(col, s.rho**g, out=np.zeros_like(col), where=s.rho > 0)
+            A[:, sum(m) + a + g] += col
+    else:
+        A = f(s.points, s.rho)
+    per_dir = np.zeros(len(s.rho))
+    for j in range(A.shape[1]):
+        if np.any(A[:, j] != 0.0):
+            per_dir += A[:, j] * s._J[j]
+    n, m = s.K.n, s.rule.size
+    norm = (2.0 * np.pi) ** (-n / 2.0)
+    val = float(norm * s.rule.weight * np.sum(per_dir[:m]))
+    if s.half is None:
+        err = 3.0 * (norm * bd.sphere_area(n)) * float(np.std(per_dir)) / np.sqrt(m)
+    else:
+        err = abs(val - float(norm * s.half.weight * np.sum(per_dir[m:])))
+    return val, err + 1e-13 * max(1.0, abs(val))
+
+
 def counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that appends to the returned list."""
     calls = []
@@ -228,6 +265,40 @@ class TestPolarSample:
         calls.clear()
         gm.measure(K, gm.sphere_rule(n, 256))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batch_matches_integrands_one_by_one(self, n):
+        # one pass over the batch gives each integrand's Estimate bit for
+        # bit, against the per-integrand loop and against single-integrand
+        # calls; eleven integrands on a degree-4 table make three blocks
+        P = gm.RayPolynomial
+        e = np.eye(n)
+        ray = lambda dirs, rho: np.column_stack([rho * 0.0 + 2.0, dirs[:, 0], -dirs[:, 1] ** 2])
+        fs = [P.constant(1.0), P.abs_x_power(2), P.abs_x_power(4), P.gauge_power(1),
+              P.gauge_power(2), P.dot_power(e[0], 1), P.dot_power(e[-1], 3),
+              P.constant(2.0) - P.gauge_power(2) * 0.5, ray,
+              *(P.dot_power(x, 2) for x in e[:2])]
+        rule = gm.sphere_rule(n, 128 if n < 4 else 256)
+        shift = np.r_[0.3, np.zeros(n - 1)]
+        for K in (bd.box([0.8 + 0.1 * i for i in range(n)], n), bd.cylinder(n - 1, 0.9, n),
+                  bd.translate(bd.lp_ball(1.0, 1.5, n), shift)):
+            s = gm.polar_sample(K, rule)
+            batch = s.integrals(*fs)
+            assert len(s._J) == 5 and len(batch) == len(fs)
+            assert [(e.value, e.err) for e in batch] == [_loop_integral(s, f) for f in fs]
+            assert batch == [s.integral(f) for f in fs], K.label
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_j_table_per_sample_of_a_check(self, n, monkeypatch):
+        # the suite takes one table on K (degree 4) and one per translate
+        # (degree 2); the gauge torsion bound one on K (degree 2)
+        tables = counting(monkeypatch, sf, "j_lower_orders")
+        K = bd.box([0.8 + 0.1 * i for i in range(n)], n)
+        vf.moment_inequality_suite(K, gm.sphere_rule(n, 256))
+        assert [q - p for p, q, _ in tables] == [4, 2, 2, 2]
+        tables.clear()
+        tor.torsion_gauge_lower(K, gm.RayPolynomial.constant(1.0))
+        assert [q - p for p, q, _ in tables] == [2]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_stacked_sample_matches_separate_rules(self, n):

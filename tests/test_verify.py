@@ -452,6 +452,61 @@ class TestMomentSuite:
         assert out["beta"] >= -1.0 - 1e-8
 
 
+# bodies of the benchmark's moment suite, one of each kind per dimension
+# (lp_ball(1.3, 1.5) is the one whose translates move the most), and its rules
+SUITE_RULES = {2: 256, 3: 512, 4: 1024}
+SUITE_BODIES = [
+    body for n in (2, 3, 4) for body in (
+        bd.box([0.7, 1.0, 0.9, 1.1][:n], n), bd.ellipsoid([0.8, 1.1, 1.4, 1.7][:n], n),
+        bd.cylinder(n - 1, 1.0, n), bd.lp_ball(1.3, 1.5, n))]
+
+
+def _bundle_suite(K, rule):
+    """The suite's values from degree-4 moment bundles of K and of each
+    translate: the reference the suite's one batch per sample replaces."""
+    b = gm.moments_bundle(K, rule)
+    ref = {"a": b.a.value, "m2": b.m2.value, "m4": b.m4.value,
+           "err": b.m2.err + b.m4.err + b.a.err,
+           "dir2": max(b.dir2(e).value for e in np.eye(K.n)), "shifted": []}
+    theta = np.eye(K.n)[0]
+    r = bd.inradius(K)
+    for frac in (0.3, 0.6, 0.85):
+        bt = gm.moments_bundle(bd.translate(K, frac * r * theta), rule)
+        d1, d2 = bt.dir1(theta).value, bt.dir2(theta).value
+        ref["shifted"].append({"a": bt.a.value, "dir1": d1, "dir2": d2,
+                               "margin": 1.0 - d2 - float(sf.eta(bt.a.value)) * d1 * d1})
+    return ref
+
+
+class TestBatchedMoments:
+    @pytest.mark.parametrize("K", SUITE_BODIES, ids=lambda K: f"{K.label}-n{K.n}")
+    def test_suite_matches_bundle_reference(self, K):
+        # K's integrals meet the same degree-4 table as the bundle's, so
+        # they are bit for bit; each translate's table is degree 2 now, not 4
+        rule = gm.sphere_rule(K.n, SUITE_RULES[K.n])
+        got = vf.moment_inequality_suite(K, rule)
+        ref = _bundle_suite(K, rule)
+        assert (got["a"], got["m2"], got["m4"], got["err"]) == \
+            (ref["a"], ref["m2"], ref["m4"], ref["err"])
+        assert got["margins"]["dir2"] == 1.0 - ref["dir2"]
+        assert len(got["shifted"]) == 3
+        for row, want in zip(got["shifted"], ref["shifted"]):
+            for key in ("a", "dir1", "dir2"):
+                assert row[key] == pytest.approx(want[key], rel=2e-15, abs=0), key
+            assert row["margin"] == pytest.approx(want["margin"], rel=0, abs=2e-15)
+
+    @pytest.mark.parametrize("K", [K for K in SUITE_BODIES if bd.round_cylinder(K) is None],
+                             ids=lambda K: f"{K.label}-n{K.n}")
+    def test_gauge_torsion_matches_bundle_reference(self, K):
+        for F in (gm.RayPolynomial.constant(1.0),
+                  gm.RayPolynomial.constant(2.0) - gm.RayPolynomial.gauge_power(2) * 0.5):
+            got = tor.torsion_gauge_lower(K, F)
+            ref = tor.torsion_gauge_lower(K, F, bundle=gm.moments_bundle(K))
+            assert got.value == pytest.approx(ref.value, rel=2e-15, abs=0)
+            # the err is a half-rule difference at rounding level, scaled
+            assert got.err == pytest.approx(ref.err, rel=0, abs=5e-16)
+
+
 class TestAlphaHalfspace:
     def test_dual_routes_agree(self):
         for a in (0.2, 0.35, 0.7, 0.9):
