@@ -408,6 +408,9 @@ def catalog(name: str, n: int, **params) -> SupportBody:
     Every parameter of the body is required and no other is accepted."""
     if name not in _CATALOG:
         raise BodyError(f"unknown body {name!r}")
+    if n < 1:
+        # before the maker, whose in-radius may take a power of n
+        raise BodyError("dimension must be >= 1")
     keys, make = _CATALOG[name]
     for key in keys:
         if key not in params:

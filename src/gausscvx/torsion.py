@@ -95,7 +95,7 @@ def torsion_halfspace(a: float) -> TorsionResult:
 
 
 def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
-                        bundle: gm.MomentsBundle | None = None) -> TorsionResult:
+                        sample: gm.PolarSample | None = None) -> TorsionResult:
     """Lower bounds for T^F(K) from moments.
 
     The in-radius test-function bound
@@ -106,19 +106,18 @@ def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
     F = k - |x_{1..k}|^2.  The measure-only floor phi_inv(a)^2/(4 e^2 n^2)
     bounds the F = 1 torsion only, so it participates in the returned
     value just for F = 1; both numbers are recorded.
+
+    The moments are one batch on ``sample``, a polar sample of K (default:
+    K's default-rule sample).
     """
     r = bd.inradius(K)
     if r is None:
         raise ValueError("in-radius unavailable for this body")
     one, gauge2 = gm.RayPolynomial.constant(1.0), gm.RayPolynomial.gauge_power(2)
     load = F * (one - gauge2)
-    if bundle is None:
-        a, g2, cross = gm.polar_sample(K).integrals(one, gauge2, load)
-        gK2 = g2.over(a)
-    else:
-        a, gK2 = bundle.a, bundle.gK2
-        cross = bundle.sample.integral(load)
-    cross = cross.over(a)
+    s = sample if sample is not None else gm.polar_sample(K)
+    a, g2, cross = s.integrals(one, gauge2, load)
+    gK2, cross = g2.over(a), cross.over(a)
     last_touch = r * r * cross.value**2 / (4.0 * gK2.value)
     lt_err = (2.0 * r * r * abs(cross.value) * cross.err / (4.0 * gK2.value)
               + last_touch * gK2.err / gK2.value)

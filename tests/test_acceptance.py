@@ -70,7 +70,7 @@ def test_c05_last_touch_lower_bound_equality_on_cylinders():
             F_ray = (gm.RayPolynomial.constant(float(k))
                      + gm.RayPolynomial.gauge_power(2) * (-R * R))
             lower = tor.torsion_gauge_lower(
-                K, F_ray, bundle=gm.moments_bundle(K, rule)).value
+                K, F_ray, sample=gm.polar_sample(K, rule)).value
             exact = tor.torsion_radial(k, R, lambda r: k - r * r).value
             assert abs(lower - exact) <= 1e-6 * abs(exact), (k, R)
 

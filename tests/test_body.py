@@ -596,10 +596,12 @@ class TestParsing:
         "ball:R", "ball:R=", "ball:R=abc", "box:a=1+x",
         "cylinder:k=1.5,R=1", "ball:R=1,n=2.5", "cylinder:k=1+1,R=1",
         "ball:R=1,foo=2", "ball:R=1,R=2", "ball:R=1+2",
+        "lp_ball:r=1,p=1.5,n=-1", "lp_ball:r=1,p=3,n=0", "ball:R=1,n=0",
     ])
     def test_malformed_strings_raise_body_error(self, text):
         # a missing v= or lambda=, an item without =, a value that is not
-        # a number, a fractional n or k, an unknown or repeated key
+        # a number, a fractional n or k, an n below 1, an unknown or
+        # repeated key
         with pytest.raises(bd.BodyError):
             bd.parse_body(text, 2)
 

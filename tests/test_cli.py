@@ -430,7 +430,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("body", ["translate:;ball:R=2", "ball:R", "ball:R=abc",
                                       "cylinder:k=1.5,R=1", "ball:R=1,foo=2",
-                                      "ball:R=1,R=2", "interp:lambda=0.5"])
+                                      "ball:R=1,R=2", "interp:lambda=0.5",
+                                      "lp_ball:r=1,p=1.5,n=-1"])
     def test_malformed_body_string_is_usage_error(self, body, capsys, tmp_path):
         # translate:;ball:R=2 used to end in an IndexError traceback and exit 1
         code, out, err = run(["measure", "--body", body, "--out-dir", str(tmp_path)],
