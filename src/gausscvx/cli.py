@@ -11,9 +11,10 @@ verify          run a named inequality check and write a JSON report
 plot            self-contained SVG line charts of the profile functions
 
 Exit codes: 0 = pass, 1 = a verified violation, 2 = usage error (an
-unknown check and a malformed body string included), 3 = numerical
-failure, 4 = internal error (an exception no other code covers; its
-traceback goes to stderr).  ``verify`` runs one row of ``CHECKS`` and
+unknown check, a malformed body string or config file, n < 1, and a
+closed stdout or stderr included), 3 = numerical failure, 4 = internal
+error (any other exception; its traceback goes to stderr).  ``verify``
+runs one row of ``CHECKS`` and
 maps its verdict through ``VERDICT_EXIT``: pass -> 0, violation -> 1,
 inconclusive -> 3 (a concavity check whose error budget cannot decide),
 witness and none -> 0 (a counterexample search's witness is its finding,
@@ -58,6 +59,10 @@ EXIT_INTERNAL = 4
 # configuration
 
 
+class ConfigError(ValueError):
+    """A config-file line the CLI cannot read, or a dimension below 1."""
+
+
 @dataclass
 class RunConfig:
     """Run-wide knobs.  Every field has a default; the key=value config
@@ -93,12 +98,15 @@ def read_config(path, base: RunConfig | None = None) -> RunConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in types:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        setattr(cfg, key, casts[types[key]](val))
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            setattr(cfg, key, casts[types[key]](val))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not {types[key]}") from None
     return cfg
 
 
@@ -120,25 +128,11 @@ def _bodies(cfg: RunConfig) -> tuple[bd.SupportBody, bd.SupportBody]:
 # output helpers
 
 
-def _py(obj):
-    """Recursively lower numpy scalars/arrays for JSON emission."""
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    return obj
-
-
 def _emit_json(cfg: RunConfig, name: str, report: dict) -> None:
     """Print ``report``, stamped with the run configuration and version, and
-    write it to ``<out_dir>/<name>.json``."""
-    report = _py({**report, "config": dataclasses.asdict(cfg),
-                  "version": __version__})
-    text = json.dumps(report, indent=2, sort_keys=True)
+    write it to ``<out_dir>/<name>.json`` (numpy values through ``tolist``)."""
+    report = {**report, "config": dataclasses.asdict(cfg), "version": __version__}
+    text = json.dumps(report, indent=2, sort_keys=True, default=lambda o: o.tolist())
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{name}.json").write_text(text + "\n", encoding="utf-8")
@@ -154,7 +148,7 @@ def _emit_csv(rows, header: list[str], out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        print(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=3.0)
-    p.add_argument("--points", type=int, default=31)
+    p.add_argument("--points", type=_count, default=31)
     p.add_argument("--out", help="CSV destination (default stdout)")
     _add_common(p)
     p.set_defaults(func=cmd_specfun)
@@ -532,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("measure", help="Gaussian measure of a body (JSON)")
-    p.add_argument("--mc", type=int, default=0,
+    p.add_argument("--mc", type=_count, default=0,
                    help="Monte Carlo cross-check sample count")
     _add_common(p)
     p.set_defaults(func=cmd_measure)
@@ -558,6 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _count(text: str) -> int:
+    """argparse type of a count that may be 0 (off) but not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -566,29 +568,41 @@ def _build_config(args) -> RunConfig:
         v = getattr(args, f.name, None)
         if v is not None:
             setattr(cfg, f.name, v)
+    if cfg.n < 1:
+        raise ConfigError(f"dimension n must be >= 1, got {cfg.n}")
     return cfg
 
 
+def _finish(code: int, message: str = "") -> int:
+    """Write ``message`` to stderr, flush both streams and return ``code``,
+    or EXIT_USAGE if a stream is closed or cannot be written."""
+    for stream, text in ((sys.stderr, message), (sys.stdout, "")):
+        if stream is None:  # its descriptor was closed at start-up
+            code = EXIT_USAGE
+            continue
+        try:
+            stream.write(text)
+            stream.flush()
+        except (OSError, ValueError):  # ValueError: a closed file object
+            code = EXIT_USAGE
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_PASS if exc.code in (0, None) else EXIT_USAGE
+        return _finish(EXIT_PASS if exc.code in (0, None) else EXIT_USAGE)
     try:
-        cfg = _build_config(args)
-        return args.func(cfg, args)
-    except (bd.BodyError, sf.DomainError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _finish(args.func(_build_config(args), args))
+    except (bd.BodyError, sf.DomainError, ConfigError, OSError) as exc:
+        return _finish(EXIT_USAGE, f"error: {exc}\n")
     except (gm.QuadratureFailure, tor.TorsionFailure, cyl.NumericalFailure,
             vf.VerificationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _finish(EXIT_NUMERICAL, f"numerical failure: {exc}\n")
     except Exception:
         # a crash must not exit 1, which means a verified violation
-        traceback.print_exc()
-        return EXIT_INTERNAL
+        return _finish(EXIT_INTERNAL, traceback.format_exc())
 
 
 if __name__ == "__main__":

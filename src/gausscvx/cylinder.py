@@ -139,44 +139,6 @@ def _check_k(k: int) -> None:
         raise ValueError("cylinder index k must be an integer >= 1")
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
-    """A round k-cylinder in R^n, pinned by radius or by measure.
-
-    Exactly one of ``R``, ``a`` must be given; the other is derived.
-    """
-
-    n: int
-    k: int
-    R: float | None = None
-    a: float | None = None
-
-    def __post_init__(self):
-        _check_k(self.k)
-        if self.k > self.n:
-            raise ValueError("k must not exceed the ambient dimension n")
-        if (self.R is None) == (self.a is None):
-            raise ValueError("give exactly one of R or a")
-        if self.R is None:
-            object.__setattr__(self, "R", float(radius_of_measure(self.k, self.a)))
-        else:
-            if self.R <= 0:
-                raise ValueError("R must be positive")
-            object.__setattr__(self, "a", float(measure_of_radius(self.k, self.R)))
-
-    @property
-    def perimeter(self) -> float:
-        return float(perimeter_s(self.k, self.a))
-
-    @property
-    def phi(self) -> float:
-        return float(phi_k(self.k, self.a))
-
-    @property
-    def ps(self) -> float:
-        return float(ps_cylinder(self.k, self.a))
-
-
 # ---------------------------------------------------------------------------
 # argmin partition of the measure axis
 

@@ -36,7 +36,9 @@ reduction over the last axis takes every row's full- and half-rule sums
 (or its standard deviation for the n=4 rule).  A row-wise ``np.sum`` or
 ``np.std`` is bit for bit the 1-D call on that row, so a batch gives the
 same Estimates as its integrands taken one at a time on the same table.
-A check asks for the integrals it reads, in one batch per sample.
+An integrand is a RayPolynomial or its lowered form {j: a_j(theta)}.
+A check asks for the integrals it reads, in one batch per sample, and
+takes normalized means E f from ``PolarSample.means``.
 ``measure`` and ``ray_integral`` are one-shot forms over a fresh sample.
 
 ``path_measures`` gives gamma and its err along a Minkowski path
@@ -89,9 +91,7 @@ class Estimate:
         return Estimate(self.value + other, self.err, self.method)
 
     def __sub__(self, other: "Estimate | float") -> "Estimate":
-        if isinstance(other, Estimate):
-            return Estimate(self.value - other.value, self.err + other.err, self.method)
-        return Estimate(self.value - other, self.err, self.method)
+        return self + other * -1.0
 
     def __mul__(self, c: float) -> "Estimate":
         return Estimate(self.value * c, self.err * abs(c), self.method)
@@ -321,27 +321,20 @@ class PolarSample:
             err = np.abs(val - norm * self.half.weight * np.sum(rows[..., m:], axis=-1))
         return val, err + 1e-13 * np.maximum(1.0, np.abs(val))
 
-    def _lower(self, f) -> dict:
-        """f's ray coefficients on the sample's points, {j: a_j(theta)}."""
-        if isinstance(f, RayPolynomial):
-            return f.ray_columns(self._cols)
-        A = np.asarray(f(self.points, self.rho), dtype=float)
-        return {j: A[:, j] for j in range(A.shape[1])}
-
     def integrals(self, *fs) -> list[Estimate]:
         """Unnormalized int_K f dgamma for each f by the polar rule, over
         one J table at the batch's top degree; err from the nested
         half-resolution rule (3 sigma for the n=4 Monte Carlo rule).
 
-        Each f is a RayPolynomial or, for an integrand that is polynomial
-        along each ray but not a RayPolynomial, a function (dirs, rho) ->
-        ray coefficients shaped like ``RayPolynomial.coeffs``.  Each f is
-        lowered once; its per-direction row sum_j a_j J_{n-1+j}(rho) is
-        built degree by degree, and one reduction sums every row.  Rows
-        go in blocks of at most the table's row count, so no temporary
-        outgrows the table.
+        Each f is a RayPolynomial or its lowered form, a dict {j: a_j(theta)}
+        of ray-coefficient columns on the sample's ``points`` (the form of
+        integrands that are not RayPolynomials, such as the first
+        variation).  Each f is lowered once; its per-direction row
+        sum_j a_j J_{n-1+j}(rho) is built degree by degree, and one
+        reduction sums every row in blocks of at most the table's row count.
         """
-        lowered = [self._lower(f) for f in fs]
+        lowered = [f.ray_columns(self._cols) if isinstance(f, RayPolynomial) else f
+                   for f in fs]
         J = self._orders(max(max(cols, default=0) for cols in lowered))
         out = []
         for lo in range(0, len(lowered), len(J)):
@@ -354,6 +347,12 @@ class PolarSample:
             out += [Estimate(v, e, "quadrature")
                     for v, e in zip(values.tolist(), errs.tolist())]
         return out
+
+    def means(self, *fs) -> tuple[Estimate, list[Estimate]]:
+        """gamma(K) and each E f = int_K f dgamma / gamma(K), from one
+        ``integrals`` batch of (1, *fs)."""
+        a, *ints = self.integrals(RayPolynomial.constant(1.0), *fs)
+        return a, [i.over(a) for i in ints]
 
     def integral(self, f) -> Estimate:
         """``integrals`` of the one integrand f."""
@@ -425,12 +424,10 @@ class MomentsBundle:
 
 def moments_bundle(K: bd.SupportBody, rule: SphereRule | None = None) -> MomentsBundle:
     s = polar_sample(K, rule)
-    a, x2, x4, g2, g1 = s.integrals(
-        RayPolynomial.constant(1.0), RayPolynomial.abs_x_power(2),
-        RayPolynomial.abs_x_power(4), RayPolynomial.gauge_power(2),
-        RayPolynomial.gauge_power(1))
-    m2, m4 = x2.over(a), x4.over(a)
-    return MomentsBundle(K=K, a=a, m2=m2, m4=m4, gK2=g2.over(a), gK1=g1.over(a),
+    a, (m2, m4, gK2, gK1) = s.means(
+        RayPolynomial.abs_x_power(2), RayPolynomial.abs_x_power(4),
+        RayPolynomial.gauge_power(2), RayPolynomial.gauge_power(1))
+    return MomentsBundle(K=K, a=a, m2=m2, m4=m4, gK2=gK2, gK1=gK1,
                          var_x2=m4 - m2.times(m2), sample=s)
 
 
@@ -474,9 +471,10 @@ def first_variation(sample: PolarSample, L: bd.SupportBody) -> Estimate:
     (rho_eps / rho - 1) / eps at eps = h and h/2, h = 1e-3 r(K), from the
     closed radials of ``bd.minkowski_sum``.  Since
     rho^n e^{-rho^2/2} = n J_{n-1}(rho) - J_{n+1}(rho), the derivative is
-    the polar integral of the ray coefficients [n c, 0, -c] on the sample's
-    J table.  err adds the extrapolation step and the quotients' rounding
-    to the half-rule difference.  Rays that never leave K add nothing.
+    the polar integral of the ray-coefficient columns {0: n c, 2: -c} on
+    the sample's J table.  err adds the extrapolation step and the
+    quotients' rounding to the half-rule difference.  Rays that never
+    leave K add nothing.
 
     An L with infinite support at a sample point where K's is finite makes
     K + eps L unbounded in a direction where K is bounded: gamma jumps at
@@ -485,7 +483,7 @@ def first_variation(sample: PolarSample, L: bd.SupportBody) -> Estimate:
     K, n = sample.K, sample.K.n
     r = bd.inradius(K)
     if r is None or not np.isfinite(r):
-        raise ValueError("the first variation needs a finite in-radius of K")
+        raise bd.BodyError("the first variation needs a finite in-radius of K")
     unbounded = sample.points[np.isinf(np.asarray(L.support(sample.points), dtype=float))]
     if len(unbounded) and np.any(np.isfinite(np.asarray(K.support(unbounded), dtype=float))):
         return Estimate(np.inf, 0.0, "quadrature")
@@ -498,9 +496,8 @@ def first_variation(sample: PolarSample, L: bd.SupportBody) -> Estimate:
         return np.where(np.isinf(sample.rho), 0.0, c)
 
     c1, c2 = slope(h), slope(h / 2.0)
-    ray = lambda c: lambda dirs, rho: np.column_stack([n * c, np.zeros_like(c), -c])
-    est, step, weight = sample.integrals(ray(2.0 * c2 - c1), ray(c2 - c1),
-                                         ray(np.ones_like(c1)))
+    est, step, weight = sample.integrals(*({0: n * c, 2: -c} for c in
+                                           (2.0 * c2 - c1, c2 - c1, np.ones_like(c1))))
     # 2 c2 - c1 turns an error d in each ratio rho_eps / rho into at most
     # 5 d / h; d is taken as 4 ulps
     rounding = 20.0 * np.finfo(float).eps / h * weight.value

@@ -45,9 +45,6 @@ from functools import lru_cache
 
 import numpy as np
 
-TOL_REL = 1e-12
-"""Relative accuracy target for round trips and identities in this module."""
-
 
 class DomainError(ValueError):
     """Argument outside the open domain where the function is finite."""
@@ -569,20 +566,6 @@ def j_lower_orders(p: int, q: int, R) -> np.ndarray:
             # beyond _T_MAX the kernel's rows are the totals; keep them exact
             rows[k - lo] = _where(far, _j_total(k), row) if _any(far) else row
     return np.array(rows) if lo < hi else np.asarray(rows[0])[np.newaxis]
-
-
-def j_inverse(p: int, y) -> np.ndarray | float:
-    """Inverse of R -> j_lower(p, R) on [0, j_total(p)), integer p >= 0.
-
-    Raises :class:`DomainError` for y < 0 or y >= j_total(p) (where the
-    inverse would be infinite), and for a non-integer or negative p.
-    """
-    k = _order(p)
-    yy = _arg(y)
-    cp = _j_total(k)
-    if _any(yy < 0) or _any(yy >= cp):
-        raise DomainError("j_inverse requires 0 <= y < j_total(p)")
-    return _apply(_inverse, yy / cp, k)
 
 
 def j_inverse_regularized(p: int, q) -> np.ndarray | float:

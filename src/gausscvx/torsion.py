@@ -21,7 +21,8 @@ the Rayleigh quotient of explicit gauge polynomials (``rayleigh``).
 
 ``talenti_1d`` verifies the 1-D Gaussian symmetrization comparison:
 rearranging the source onto the half-line can only increase the solution,
-u* <= v pointwise.
+u* <= v pointwise.  F and u go through one Gaussian (Ehrhard)
+rearrangement of sampled monotone pieces, ``_rearrange``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from . import specfun as sf
 
 _EPS = 1e-12
 _FD_STEP = 1e-5  # step of the tangential differences in ``rayleigh``
+# Talenti grids: samples per monotone piece of F, solve nodes, reported points
+_PIECE_GRID, _SOLVE_GRID, _REPORT_POINTS = 4001, 20001, 41
 
 
 class TorsionFailure(RuntimeError):
@@ -47,7 +50,7 @@ class TorsionFailure(RuntimeError):
 class TorsionResult:
     value: float
     err: float
-    kind: str  # exact_radial | halfspace | variational_lower | gauge_lower
+    kind: str  # exact_radial | halfspace | gauge_lower
     components: dict | None = None
 
 
@@ -112,22 +115,17 @@ def torsion_gauge_lower(K: bd.SupportBody, F: gm.RayPolynomial,
     """
     r = bd.inradius(K)
     if r is None:
-        raise ValueError("in-radius unavailable for this body")
+        raise bd.BodyError("in-radius unavailable for this body")
     one, gauge2 = gm.RayPolynomial.constant(1.0), gm.RayPolynomial.gauge_power(2)
-    load = F * (one - gauge2)
     s = sample if sample is not None else gm.polar_sample(K)
-    a, g2, cross = s.integrals(one, gauge2, load)
-    gK2, cross = g2.over(a), cross.over(a)
+    a, (gK2, cross) = s.means(gauge2, F * (one - gauge2))
     last_touch = r * r * cross.value**2 / (4.0 * gK2.value)
     lt_err = (2.0 * r * r * abs(cross.value) * cross.err / (4.0 * gK2.value)
               + last_touch * gK2.err / gK2.value)
     floor = float(sf.phi_inv(a.value)) ** 2 / (4.0 * np.e**2 * K.n**2)
-    is_const1 = F.terms == one.terms
-    value = max(last_touch, floor) if is_const1 else last_touch
-    return TorsionResult(
-        value, lt_err, "gauge_lower",
-        components={"last_touch": last_touch, "measure_floor": floor},
-    )
+    value = max(last_touch, floor) if F.terms == one.terms else last_touch
+    return TorsionResult(value, lt_err, "gauge_lower",
+                         components={"last_touch": last_touch, "measure_floor": floor})
 
 
 def torsion_one(K: bd.SupportBody) -> TorsionResult:
@@ -155,16 +153,10 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
     dP = np.array([j * P[j] for j in range(1, len(P))])
     b = np.convolve(dP, dP) if len(dP) else np.zeros(1)
 
-    def cf(dirs, rho):
-        q, grad_tan2 = _gauge_slope_sq(K, dirs, rho, _FD_STEP)
-        out = np.zeros((len(dirs), len(b)))
-        for m in range(len(b)):
-            out[:, m] = b[m] * q**m * (q**2 + grad_tan2)
-        return out
-
-    a, fv, grad2 = gm.polar_sample(K, rule).integrals(
-        gm.RayPolynomial.constant(1.0), F * v, cf)
-    fv, grad2 = fv.over(a), grad2.over(a)
+    s = gm.polar_sample(K, rule)
+    q, grad_tan2 = _gauge_slope_sq(K, s.points, s.rho, _FD_STEP)
+    grad = {m: b[m] * q**m * (q**2 + grad_tan2) for m in range(len(b))}
+    _, (fv, grad2) = s.means(F * v, grad)
     if grad2.value <= 0:
         raise TorsionFailure("degenerate gradient energy")
     quotient = fv.times(fv).over(grad2)
@@ -221,9 +213,6 @@ def _strict_inverse(x: np.ndarray, y: np.ndarray) -> tuple:
 
 def _monotone_interp(x: np.ndarray, y: np.ndarray):
     """Shape-preserving interpolant of a monotone table, clamped at the ends."""
-    if len(x) < 2:
-        c = y[0] if len(y) else 0.0
-        return lambda q: np.full_like(np.asarray(q, dtype=float), c)
     # only the Talenti comparison interpolates, so the CLI never imports this
     from scipy.interpolate import PchipInterpolator
 
@@ -240,37 +229,27 @@ def _monotone_level_lengths(t: np.ndarray, f: np.ndarray, taus: np.ndarray) -> n
     if f.max() - f.min() <= 1e-15 * (1.0 + abs(f[0])):
         full = float(sf.psi(t[-1]) - sf.psi(t[0]))
         return np.where(taus < f[0], full, 0.0)
-    if f[-1] >= f[0]:
-        ygrid, xgrid = _strict_inverse(t, f)
-        cross = _monotone_interp(ygrid, xgrid)(taus)
-        return np.asarray(sf.psi(t[-1]) - sf.psi(cross))
-    ygrid, xgrid = _strict_inverse(t[::-1], f[::-1])
-    cross = _monotone_interp(ygrid, xgrid)(taus)
-    return np.asarray(sf.psi(cross) - sf.psi(t[0]))
+    if f[-1] < f[0]:  # decreasing: {f > tau} runs from the left end
+        t, f = t[::-1], f[::-1]
+    ygrid, xgrid = _strict_inverse(t, f)
+    return np.abs(sf.psi(t[-1]) - sf.psi(_monotone_interp(ygrid, xgrid)(taus)))
 
 
-def ehrhard_rearrange_1d(f, w1: float, w2: float, extrema=(), n_grid: int = 4001):
-    """Decreasing rearrangement of f|[-w1,w2] onto (-inf, psi_inv(a)].
-
-    ``extrema`` lists interior critical points splitting f into monotone
-    pieces; superlevel sets are then unions of intervals with endpoints
-    recovered by monotone inversion on a dense grid.  Returns
-    (vectorized f_star on the half-line, a).
+def _rearrange(pieces, a: float):
+    """Decreasing rearrangement onto (-inf, psi_inv(a)] of a function
+    sampled as monotone pieces [(t, f(t))] of a set of measure a: the
+    vectorized f* with psi(s) = gamma_1{f > f*(s)}, the measures summed
+    over the pieces at the sampled values and on a uniform grid of levels.
     """
-    a = float(sf.psi(w2) - sf.psi(-w1))
-    pieces = [-w1, *sorted(extrema), w2]
-    sub = []
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        t = np.linspace(lo, hi, n_grid)
-        sub.append((t, np.asarray(f(t), dtype=float) * np.ones_like(t)))
-    all_vals = np.concatenate([fv for _, fv in sub])
+    all_vals = np.concatenate([fv for _, fv in pieces])
     fmin, fmax = float(all_vals.min()), float(all_vals.max())
     if fmax - fmin <= 1e-15 * (1.0 + abs(fmax)):
-        return (lambda s: np.full_like(np.asarray(s, dtype=float), fmax)
-                if np.ndim(s) else fmax), a
-    taus = np.unique(np.concatenate(
-        [np.linspace(fmin, fmax, 4 * n_grid), all_vals]))
-    m_of_tau = sum(_monotone_level_lengths(t, fv, taus) for t, fv in sub)
+        return lambda s: np.full_like(np.asarray(s, dtype=float), fmax) if np.ndim(s) else fmax
+    taus = np.unique(np.concatenate([np.linspace(fmin, fmax, 4 * _PIECE_GRID), all_vals]))
+    # mirror-image pieces sample the same level up to rounding; such
+    # near-duplicate levels would give PCHIP secants made of rounding noise
+    taus = taus[np.concatenate(([True], np.diff(taus) > 1e-12 * (fmax - fmin)))]
+    m_of_tau = sum(_monotone_level_lengths(t, fv, taus) for t, fv in pieces)
     m_strict, tau_strict = _strict_inverse(taus[::-1], m_of_tau[::-1])
     inv = _monotone_interp(m_strict, tau_strict)
 
@@ -279,12 +258,25 @@ def ehrhard_rearrange_1d(f, w1: float, w2: float, extrema=(), n_grid: int = 4001
         out = inv(np.clip(target, 0.0, a))
         return out if out.ndim else float(out)
 
-    return f_star, a
+    return f_star
 
 
-def _grid_dirichlet_interval(w1: float, w2: float, F, n_grid: int):
+def ehrhard_rearrange_1d(f, w1: float, w2: float, extrema=()):
+    """Decreasing rearrangement of f|[-w1,w2] onto (-inf, psi_inv(a)].
+
+    ``extrema`` lists interior critical points splitting f into monotone
+    pieces, each sampled on ``_PIECE_GRID`` points.  Returns (vectorized
+    f_star on the half-line, a).
+    """
+    a = float(sf.psi(w2) - sf.psi(-w1))
+    ends = [-w1, *sorted(extrema), w2]
+    ts = [np.linspace(lo, hi, _PIECE_GRID) for lo, hi in zip(ends[:-1], ends[1:])]
+    return _rearrange([(t, np.asarray(f(t), dtype=float) * np.ones_like(t)) for t in ts], a), a
+
+
+def _grid_dirichlet_interval(w1: float, w2: float, F):
     """Dense-grid solve of u'' - t u' = -F on [-w1, w2], u = 0 at the ends."""
-    t = np.linspace(-w1, w2, n_grid)
+    t = np.linspace(-w1, w2, _SOLVE_GRID)
     weight = np.exp(-t * t / 2.0)
     fvals = np.asarray(F(t), dtype=float) * np.ones_like(t)
     if fvals.min() < -1e-12:
@@ -300,8 +292,7 @@ def _grid_dirichlet_interval(w1: float, w2: float, F, n_grid: int):
     return t, u, float(abs(u[-1]))
 
 
-def talenti_1d(w1: float, w2: float, F, extrema=(), n_report: int = 41,
-               n_grid: int = 20001) -> TalentiReport:
+def talenti_1d(w1: float, w2: float, F, extrema=()) -> TalentiReport:
     """Compare the rearranged interval solution with the half-line solution.
 
     Solves Lu = -F on [-w1, w2] with zero boundary values, rearranges u
@@ -310,30 +301,13 @@ def talenti_1d(w1: float, w2: float, F, extrema=(), n_report: int = 41,
     """
     if w1 <= 0 or w2 <= 0:
         raise ValueError("interval must contain the origin strictly")
-    t, u, residual = _grid_dirichlet_interval(w1, w2, F, n_grid)
-
-    # F >= 0 makes u' e^{-t^2/2} nonincreasing: u is unimodal
+    t, u, residual = _grid_dirichlet_interval(w1, w2, F)
+    f_star, a = ehrhard_rearrange_1d(F, w1, w2, extrema=extrema)
+    # F >= 0 makes u' e^{-t^2/2} nonincreasing: u is unimodal, two monotone pieces
     peak = int(np.argmax(u))
-    tau_inc, t_inc = _strict_inverse(t[:peak + 1], u[:peak + 1])
-    tau_dec, t_dec = _strict_inverse(t[peak:][::-1], u[peak:][::-1])
-    # sample levels from both branches: either one alone can be a steep
-    # sliver (half-line-like intervals) that undersamples the other
-    taus = np.unique(np.concatenate([tau_inc, tau_dec]))
-    taus = taus[taus <= min(tau_inc[-1], tau_dec[-1])]
-    left = _monotone_interp(tau_inc, t_inc)(taus)
-    right = _monotone_interp(tau_dec, t_dec)(taus)
-    m_of_tau = np.asarray(sf.psi(right) - sf.psi(left))
-
-    a = float(sf.psi(w2) - sf.psi(-w1))
+    u_star = _rearrange([(t[:peak + 1], u[:peak + 1]), (t[peak:], u[peak:])], a)
     beta = float(sf.psi_inv(a))
-    lo = min(beta, 0.0) - 14.0
-    s = np.linspace(lo, beta, n_grid)
-
-    m_strict, tau_strict = _strict_inverse(taus[::-1], m_of_tau[::-1])
-    u_star = _monotone_interp(m_strict, tau_strict)(
-        np.clip(np.asarray(sf.psi(s)), 0.0, a))
-
-    f_star, _ = ehrhard_rearrange_1d(F, w1, w2, extrema=extrema)
+    s = np.linspace(min(beta, 0.0) - 14.0, beta, _SOLVE_GRID)
     from scipy.integrate import cumulative_simpson
 
     H = cumulative_simpson(np.asarray(f_star(s)) * np.exp(-s * s / 2.0),
@@ -342,7 +316,8 @@ def talenti_1d(w1: float, w2: float, F, extrema=(), n_report: int = 41,
     v = S[-1] - S
 
     keep = s >= min(beta, 0.0) - 8.0
-    idx = np.unique(np.linspace(np.argmax(keep), n_grid - 1, n_report).astype(int))
-    return TalentiReport(a=a, beta=beta, s_grid=s[idx], u_star=u_star[idx],
-                         v=v[idx], max_gap=float(np.max(u_star[idx] - v[idx])),
+    idx = np.unique(np.linspace(np.argmax(keep), _SOLVE_GRID - 1, _REPORT_POINTS).astype(int))
+    u_rep = np.asarray(u_star(s[idx]))
+    return TalentiReport(a=a, beta=beta, s_grid=s[idx], u_star=u_rep,
+                         v=v[idx], max_gap=float(np.max(u_rep - v[idx])),
                          u_min=float(u.min()), boundary_residual=residual)

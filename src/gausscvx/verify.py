@@ -85,33 +85,22 @@ class MultiPoly(gm.RayPolynomial):
                 t[k] = t.get(k, 0.0) + c * m[i]
         return self._like(t)
 
+    def _sum(self, polys) -> "MultiPoly":
+        return sum(polys, MultiPoly(self.n, {}))
+
     def grad_sq(self) -> "MultiPoly":
-        out = MultiPoly(self.n, {})
-        for i in range(self.n):
-            d = self.diff(i)
-            out = out + d * d
-        return out
+        return self._sum(d * d for d in map(self.diff, range(self.n)))
 
     def laplacian(self) -> "MultiPoly":
-        out = MultiPoly(self.n, {})
-        for i in range(self.n):
-            out = out + self.diff(i).diff(i)
-        return out
+        return self._sum(self.diff(i).diff(i) for i in range(self.n))
 
     def euler(self) -> "MultiPoly":
         """<x, grad f>."""
-        out = MultiPoly(self.n, {})
-        for i in range(self.n):
-            out = out + MultiPoly.coord(self.n, i) * self.diff(i)
-        return out
+        return self._sum(MultiPoly.coord(self.n, i) * self.diff(i) for i in range(self.n))
 
     def hessian_frob_sq(self) -> "MultiPoly":
-        out = MultiPoly(self.n, {})
-        for d_i in [self.diff(i) for i in range(self.n)]:
-            for j in range(self.n):
-                d = d_i.diff(j)
-                out = out + d * d
-        return out
+        second = [d_i.diff(j) for d_i in map(self.diff, range(self.n)) for j in range(self.n)]
+        return self._sum(d * d for d in second)
 
     # -- queries -----------------------------------------------------------
     @property
@@ -287,7 +276,6 @@ class PowerBracket:
     lo: float           # largest power that passed
     hi: float           # smallest power that failed (or hi bound)
     width: float
-    grid_size: int
 
 
 def max_power(K: bd.SupportBody, L: bd.SupportBody, n_t: int = 33,
@@ -309,9 +297,9 @@ def max_power(K: bd.SupportBody, L: bd.SupportBody, n_t: int = 33,
         return bool(np.all(d2 <= budget))
 
     if not concave_ok(lo):
-        return PowerBracket(lo, lo, lo, 0.0, len(t))
+        return PowerBracket(lo, lo, lo, 0.0)
     if concave_ok(hi):
-        return PowerBracket(hi, hi, hi, 0.0, len(t))
+        return PowerBracket(hi, hi, hi, 0.0)
     p_lo, p_hi = lo, hi
     for _ in range(30):
         mid = 0.5 * (p_lo + p_hi)
@@ -319,7 +307,7 @@ def max_power(K: bd.SupportBody, L: bd.SupportBody, n_t: int = 33,
             p_lo = mid
         else:
             p_hi = mid
-    return PowerBracket(0.5 * (p_lo + p_hi), p_lo, p_hi, p_hi - p_lo, len(t))
+    return PowerBracket(0.5 * (p_lo + p_hi), p_lo, p_hi, p_hi - p_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +327,9 @@ def gauss_main_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None) -> di
     r = bd.inradius(K)
     if r is None or not np.isfinite(r):
         raise VerificationError("in-radius unavailable for this body")
-    a, ex2, g2, g4 = gm.polar_sample(K, rule).integrals(
-        gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2),
-        gm.RayPolynomial.gauge_power(2), gm.RayPolynomial.gauge_power(4))
-    ex2, g2, g4 = ex2.over(a), g2.over(a), g4.over(a)
+    a, (ex2, g2, g4) = gm.polar_sample(K, rule).means(
+        gm.RayPolynomial.abs_x_power(2), gm.RayPolynomial.gauge_power(2),
+        gm.RayPolynomial.gauge_power(4))
     m = g2.value
     V = g4.value - m * m
     if not 0.0 < m < 1.0:
@@ -384,9 +371,7 @@ def corT1_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None) -> dict:
     radial torsion; other bodies get the certified gauge lower bound.
     """
     t_res = tor.torsion_one(K)
-    a, ex2 = gm.polar_sample(K, rule).integrals(
-        gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2))
-    ex2 = ex2.over(a)
+    _, (ex2,) = gm.polar_sample(K, rule).means(gm.RayPolynomial.abs_x_power(2))
     value = 2.0 * t_res.value + 1.0 / _second_moment_margin(K.n, ex2.value)
     return {"value": float(value), "torsion": t_res, "ex2": float(ex2.value),
             "torsion_kind": t_res.kind}
@@ -407,9 +392,7 @@ def minkowski_first_check(K: bd.SupportBody, L: bd.SupportBody,
     if K.n != L.n:
         raise VerificationError("dimension mismatch")
     sample = gm.polar_sample(K, rule)
-    aK, ex2 = sample.integrals(
-        gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2))
-    ex2 = ex2.over(aK)
+    aK, (ex2,) = sample.means(gm.RayPolynomial.abs_x_power(2))
     aL = gm.measure(L, rule)
     lhs = gm.first_variation(sample, L)
     nm = _second_moment_margin(K.n, ex2.value)
@@ -446,9 +429,7 @@ def brascamp_lieb_check(K: bd.SupportBody, f: MultiPoly,
             raise VerificationError("even-half mode requires an even f")
         if not K.symmetric:
             raise VerificationError("even-half mode requires a symmetric K")
-    a, ef, ef2, eg2 = gm.polar_sample(K, rule).integrals(
-        gm.RayPolynomial.constant(1.0), f, f * f, f.grad_sq())
-    ef, ef2, eg2 = ef.over(a), ef2.over(a), eg2.over(a)
+    _, (ef, ef2, eg2) = gm.polar_sample(K, rule).means(f, f * f, f.grad_sq())
     var = ef2.value - ef.value ** 2
     const = 0.5 if mode == "gaussian_even_half" else 1.0
     bound = const * eg2.value
@@ -469,10 +450,9 @@ def propgauss_check(K: bd.SupportBody, u: MultiPoly,
         raise VerificationError("u must be even")
     if u.n != K.n:
         raise VerificationError("dimension mismatch")
-    a, hess, grad, ex2, lu = gm.polar_sample(K, rule).integrals(
-        gm.RayPolynomial.constant(1.0), u.hessian_frob_sq(), u.grad_sq(),
-        gm.RayPolynomial.abs_x_power(2), u.laplacian() - u.euler())
-    hess, grad, ex2, lu = hess.over(a), grad.over(a), ex2.over(a), lu.over(a)
+    _, (hess, grad, ex2, lu) = gm.polar_sample(K, rule).means(
+        u.hessian_frob_sq(), u.grad_sq(), gm.RayPolynomial.abs_x_power(2),
+        u.laplacian() - u.euler())
     rhs = grad.value + lu.value ** 2 / _second_moment_margin(K.n, ex2.value)
     slack = hess.value - rhs
     err = hess.err + grad.err + 2.0 * abs(lu.value) * lu.err + ex2.err
@@ -517,15 +497,13 @@ def moment_inequality_suite(K: bd.SupportBody,
     in-radius and checks E<X,th>^2 + eta(a) (E<X,th>)^2 <= 1.
     """
     n = K.n
-    a, x2, x4, *axes = gm.polar_sample(K, rule).integrals(
-        gm.RayPolynomial.constant(1.0), gm.RayPolynomial.abs_x_power(2),
-        gm.RayPolynomial.abs_x_power(4),
+    a, (m2e, m4e, *axes) = gm.polar_sample(K, rule).means(
+        gm.RayPolynomial.abs_x_power(2), gm.RayPolynomial.abs_x_power(4),
         *(gm.RayPolynomial.dot_power(e, 2) for e in np.eye(n)))
-    m2e, m4e = x2.over(a), x4.over(a)
     m2, m4 = m2e.value, m4e.value
     alpha = _alpha_from(n, m2, m4)
     beta = _beta_from(n, m2, m4)
-    dir2 = [d.over(a).value for d in axes]
+    dir2 = [d.value for d in axes]
     report = {
         "a": float(a.value),
         "m2": float(m2), "m4": float(m4),
@@ -544,12 +522,11 @@ def moment_inequality_suite(K: bd.SupportBody,
     if K.symmetric and r is not None and np.isfinite(r):
         theta = np.zeros(n)
         theta[0] = 1.0
-        fs = [gm.RayPolynomial.constant(1.0), gm.RayPolynomial.dot_power(theta, 1),
-              gm.RayPolynomial.dot_power(theta, 2)]
+        fs = [gm.RayPolynomial.dot_power(theta, 1), gm.RayPolynomial.dot_power(theta, 2)]
         for frac in eta_shifts:
             KT = bd.translate(K, frac * r * theta)
-            at, d1, d2 = gm.polar_sample(KT, rule).integrals(*fs)
-            d1, d2 = d1.over(at).value, d2.over(at).value
+            at, (d1, d2) = gm.polar_sample(KT, rule).means(*fs)
+            d1, d2 = d1.value, d2.value
             margin = 1.0 - d2 - float(sf.eta(at.value)) * d1 * d1
             report["shifted"].append({
                 "shift": float(frac * r), "a": float(at.value),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from gausscvx import cli
@@ -439,6 +439,32 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error:") and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        # a translate has no exact in-radius: the gauge torsion bound and
+        # the first variation refuse it as a body error
+        ["torsion", "--n", "2", "--body", "translate:v=0.2+0;ball:R=1"],
+        ["verify", "--check", "minkowski-first", "--n", "2",
+         "--body", "translate:v=0.2+0;ball:R=1"],
+        ["measure", "--mc", "-5"],
+        ["specfun", "--points", "-1"],
+        # cylinder-table --n 0 wrote an empty table with exit 0, and
+        # partition --n 0 exited 2 only through a ValueError of np.vstack
+        ["partition", "--n", "0"],
+        ["cylinder-table", "--n", "0"],
+        ["measure", "--n", "-1"],
+    ], ids=" ".join)
+    def test_refused_input_is_usage_error(self, argv, capsys, tmp_path):
+        code, out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "error" in err and out == ""
+
+    def test_malformed_config_value_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("grid = many\n")
+        code, out, err = run(["cylinder-table", "--config", str(path)], capsys)
+        assert code == 2
+        assert "grid" in err and out == ""
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(["transmogrify"], capsys)
         assert code == 2
@@ -447,6 +473,46 @@ class TestUsageErrors:
         code, out, _ = run(["--help"], capsys)
         assert code == 0
         assert "gausscvx" in out
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard stream whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("body", ["ball:R=1", "pyramid:R=1",
+                                      "interp:lambda=0.5;ball:R=0.3|ball:R=inf"])
+    def test_closed_stdout_and_stderr_exit_two(self, body, tmp_path, monkeypatch):
+        # the error report to a closed stderr used to raise out of main
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+        code = cli.main(["measure", "--n", "2", "--body", body, "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_USAGE == 2
+
+    def test_closed_stderr_of_a_crash_exits_two(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.CHECKS, "stub", lambda cfg: 1 / 0)
+        monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+        code = cli.main(["verify", "--check", "stub", "--out-dir", str(tmp_path)])
+        assert code == 2
+
+
+class TestJsonReport:
+    def test_numpy_values_write_as_python_values(self, capsys, tmp_path):
+        cfg = cli.RunConfig(out_dir=str(tmp_path))
+        as_numpy = {"flag": np.bool_(True), "count": np.int64(3), "x": np.float64(0.1),
+                    "row": np.array([0.5, 1e-300, np.inf]),
+                    "nested": [np.float64(2.0), (np.int64(-1), np.bool_(False))]}
+        as_python = {"flag": True, "count": 3, "x": 0.1, "row": [0.5, 1e-300, math.inf],
+                     "nested": [2.0, [-1, False]]}
+        cli._emit_json(cfg, "numpy", as_numpy)
+        cli._emit_json(cfg, "python", as_python)
+        printed = capsys.readouterr().out
+        numpy_text = (tmp_path / "numpy.json").read_text(encoding="utf-8")
+        assert numpy_text == (tmp_path / "python.json").read_text(encoding="utf-8")
+        assert printed == 2 * numpy_text
 
 
 class TestInternalErrors:
@@ -482,6 +548,19 @@ class TestInternalErrors:
             code = cli.main(["measure", "--body", text, "--rule-size", "64",
                              "--out-dir", tmp])
         assert code in (0, 2, 3), (text, err.getvalue())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["measure", "partition", "cylinder-table"]),
+           st.integers(min_value=-1, max_value=6))
+    def test_fuzzed_dimensions_never_exit_one(self, command, n):
+        # a dimension below 1 is refused when the config is built (2); a
+        # dimension without a direction grid is a usage error too
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--n", str(n), "--rule-size", "64", "--grid", "9",
+                             "--out-dir", tmp])
+        assert code in (0, 2, 3), (command, n, err.getvalue())
 
 
 class TestConfigFile:

@@ -282,22 +282,6 @@ class TestPerimeterAndPhi:
         assert np.all(cyl.ps_cylinder(1, a) > 1.0)
 
 
-class TestCylinderSpec:
-    def test_pin_by_measure_or_radius(self):
-        c1 = cyl.CylinderSpec(n=3, k=2, R=1.0)
-        c2 = cyl.CylinderSpec(n=3, k=2, a=c1.a)
-        assert c2.R == pytest.approx(1.0, abs=1e-12)
-        assert c1.ps == pytest.approx(1.0 + c1.a * c1.phi, rel=1e-13)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cyl.CylinderSpec(n=2, k=3, R=1.0)
-        with pytest.raises(ValueError):
-            cyl.CylinderSpec(n=2, k=1, R=1.0, a=0.5)
-        with pytest.raises(ValueError):
-            cyl.CylinderSpec(n=2, k=1)
-
-
 class TestPartition:
     def test_crossings_match_brentq(self):
         table = cyl.partition(2)

@@ -187,8 +187,9 @@ def _separate_rule_integrals(K, rule, fs):
 
 def _loop_integral(s, f):
     """(value, err) of f on sample s by the per-integrand loop a batch
-    replaces: dense ray coefficients term by term, one row, then 1-D sums
-    (one np.std for the n=4 rule) on the sample's J table."""
+    replaces: dense ray coefficients term by term (or from f's column
+    dict), one row, then 1-D sums (one np.std for the n=4 rule) on the
+    sample's J table."""
     if isinstance(f, gm.RayPolynomial):
         A = np.zeros((len(s.points), f.degree + 1))
         for (m, a, g), c in f.terms.items():
@@ -200,7 +201,9 @@ def _loop_integral(s, f):
                 col = np.divide(col, s.rho**g, out=np.zeros_like(col), where=s.rho > 0)
             A[:, sum(m) + a + g] += col
     else:
-        A = f(s.points, s.rho)
+        A = np.zeros((len(s.points), max(f) + 1))
+        for j, col in f.items():
+            A[:, j] += col
     per_dir = np.zeros(len(s.rho))
     for j in range(A.shape[1]):
         if np.any(A[:, j] != 0.0):
@@ -273,20 +276,37 @@ class TestPolarSample:
         # calls; eleven integrands on a degree-4 table make three blocks
         P = gm.RayPolynomial
         e = np.eye(n)
-        ray = lambda dirs, rho: np.column_stack([rho * 0.0 + 2.0, dirs[:, 0], -dirs[:, 1] ** 2])
-        fs = [P.constant(1.0), P.abs_x_power(2), P.abs_x_power(4), P.gauge_power(1),
-              P.gauge_power(2), P.dot_power(e[0], 1), P.dot_power(e[-1], 3),
-              P.constant(2.0) - P.gauge_power(2) * 0.5, ray,
-              *(P.dot_power(x, 2) for x in e[:2])]
         rule = gm.sphere_rule(n, 128 if n < 4 else 256)
         shift = np.r_[0.3, np.zeros(n - 1)]
         for K in (bd.box([0.8 + 0.1 * i for i in range(n)], n), bd.cylinder(n - 1, 0.9, n),
                   bd.translate(bd.lp_ball(1.0, 1.5, n), shift)):
             s = gm.polar_sample(K, rule)
+            # a non-polynomial integrand as its ray-coefficient columns
+            ray = {0: np.full(len(s.rho), 2.0), 1: s.points[:, 0], 2: -s.points[:, 1] ** 2}
+            fs = [P.constant(1.0), P.abs_x_power(2), P.abs_x_power(4), P.gauge_power(1),
+                  P.gauge_power(2), P.dot_power(e[0], 1), P.dot_power(e[-1], 3),
+                  P.constant(2.0) - P.gauge_power(2) * 0.5, ray,
+                  *(P.dot_power(x, 2) for x in e[:2])]
             batch = s.integrals(*fs)
             assert len(s._J) == 5 and len(batch) == len(fs)
             assert [(e.value, e.err) for e in batch] == [_loop_integral(s, f) for f in fs]
             assert batch == [s.integral(f) for f in fs], K.label
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_means_are_one_batch_over_the_measure(self, n):
+        # means(*fs) is integrals(1, *fs) with each integral divided by
+        # gamma(K) through Estimate.over, bit for bit
+        P = gm.RayPolynomial
+        fs = [P.abs_x_power(2), P.gauge_power(2), P.dot_power(np.eye(n)[0], 1),
+              P.constant(2.0) - P.abs_x_power(2) * 0.7]
+        shift = np.r_[0.3, np.zeros(n - 1)]
+        for K in (bd.box([0.8 + 0.1 * i for i in range(n)], n), bd.cylinder(n - 1, 0.9, n),
+                  bd.translate(bd.ball(1.0, n), shift)):
+            rule = gm.sphere_rule(n, 128 if n < 4 else 256)
+            a, means = gm.polar_sample(K, rule).means(*fs)
+            want_a, *ints = gm.polar_sample(K, rule).integrals(P.constant(1.0), *fs)
+            assert a == want_a, K.label
+            assert means == [i.over(want_a) for i in ints], K.label
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_j_table_per_sample_of_a_check(self, n, monkeypatch):

@@ -212,6 +212,15 @@ class TestTalenti:
         assert rep.u_star[-1] == pytest.approx(0.0, abs=1e-8)
         assert rep.v[-1] == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("w", [0.8, 1.0])
+    def test_symmetric_u_star_is_steady_under_rounding(self, w):
+        # u's two mirror-image branches sample each level twice up to
+        # rounding; scaling F by 1 + 4e-16 moved u* by 7.8e-8 (w = 0.8) and
+        # 2.2e-6 (w = 1.0) while those near-duplicate levels were kept
+        one = tor.talenti_1d(w, w, lambda t: np.ones_like(t))
+        scaled = tor.talenti_1d(w, w, lambda t: np.ones_like(t) * (1.0 + 4e-16))
+        assert np.max(np.abs(scaled.u_star - one.u_star)) < 2e-8
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tor.talenti_1d(-0.5, 1.0, lambda t: np.ones_like(t))
