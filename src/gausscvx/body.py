@@ -433,6 +433,8 @@ def direction_grid(n: int, size: int | None = None) -> np.ndarray:
     if not 1 <= n <= 4:
         raise BodyError("direction grids implemented for 1 <= n <= 4")
     size = GRID_SIZES[n] if size is None else int(size)
+    if size < 1:
+        raise BodyError(f"a direction grid needs at least 1 point, got {size}")
     if n == 1:
         return np.array([[1.0], [-1.0]])
     if n == 2:

@@ -11,10 +11,11 @@ verify          run a named inequality check and write a JSON report
 plot            self-contained SVG line charts of the profile functions
 
 Exit codes: 0 = pass, 1 = a verified violation, 2 = usage error (an
-unknown check, a malformed body string or config file, n < 1, and a
-closed stdout or stderr included), 3 = numerical failure, 4 = internal
-error (any other exception; its traceback goes to stderr).  ``verify``
-runs one row of ``CHECKS`` and
+unknown check, a malformed body string or config file, a setting below
+its least value, ``--rule-size 1``, a pair of bodies of different
+dimension, and help or output to a closed stdout or stderr included),
+3 = numerical failure, 4 = internal error (any other exception; its
+traceback goes to stderr).  ``verify`` runs one row of ``CHECKS`` and
 maps its verdict through ``VERDICT_EXIT``: pass -> 0, violation -> 1,
 inconclusive -> 3 (a concavity check whose error budget cannot decide),
 witness and none -> 0 (a counterexample search's witness is its finding,
@@ -35,7 +36,7 @@ import dataclasses
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,39 +61,56 @@ EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
-    """A config-file line the CLI cannot read, or a dimension below 1."""
+    """A config-file line the CLI cannot read."""
+
+
+def _at_least(kind, least=None):
+    """Parser of a flag or config value: ``kind`` of the text, refused as a
+    usage error below ``least`` (NaN included)."""
+    def parse(text: str):
+        value = kind(text)
+        if least is not None and not value >= least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+def _setting(default, help: str, least=None):
+    """A RunConfig field: its default (whose type is the setting's), its
+    flag help and the least value it accepts."""
+    return field(default=default,
+                 metadata={"help": help, "parse": _at_least(type(default), least)})
 
 
 @dataclass
 class RunConfig:
-    """Run-wide knobs.  Every field has a default; the key=value config
-    format round-trips all of them losslessly."""
+    """Run-wide settings, each declared once.  The flags (``rule_size`` is
+    ``--rule-size``) and the key = value config format derive from these
+    fields, and the config format round-trips all of them losslessly."""
 
-    n: int = 2                # ambient dimension
-    seed: int = 7             # Monte Carlo seed of `measure --mc` (the n=4
-                              # direction grid has its own, body._MC_GRID_SEED)
-    rule_size: int = 0        # spherical-rule size; 0 = per-dimension default
-    tol: float = 0.0          # tolerance override; 0 = per-check default
-    grid: int = 99            # measure-grid resolution for tables
-    t_points: int = 33        # interpolation-grid size for concavity checks
-    out_dir: str = "artifacts"  # destination for reports and figures
-    body: str = "ball:R=1"    # primary body (grammar: name:key=val,...)
-    body2: str = ""           # second body for pair checks; "" = 1.5-dilate
+    n: int = _setting(2, "ambient dimension", least=1)
+    # the n=4 direction grid has its own seed, body._MC_GRID_SEED
+    seed: int = _setting(7, "Monte Carlo seed of measure --mc")
+    rule_size: int = _setting(0, "spherical-rule size; 0 = per-dimension default", least=0)
+    tol: float = _setting(0.0, "tolerance override; 0 = per-check default", least=0.0)
+    grid: int = _setting(99, "measure-grid resolution of tables", least=1)
+    t_points: int = _setting(33, "interpolation grid size", least=vf.MIN_T_POINTS)
+    out_dir: str = _setting("artifacts", "directory for JSON reports and figures")
+    body: str = _setting("ball:R=1", "primary body (grammar: name:key=val,...)")
+    body2: str = _setting("", 'second body of pair checks; "" = 1.5-dilate')
 
 
 def write_config(cfg: RunConfig, path) -> None:
     lines = ["# gausscvx run configuration"]
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {v!r}" if isinstance(v, float) else
-                     f"{f.name} = {v}")
+    lines += [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}"
+              for k, v in dataclasses.asdict(cfg).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_config(path, base: RunConfig | None = None) -> RunConfig:
-    cfg = dataclasses.replace(base) if base else RunConfig()
-    types = {f.name: f.type for f in dataclasses.fields(cfg)}
-    casts = {"int": int, "float": float, "str": str}
+def read_config(path) -> RunConfig:
+    cfg = RunConfig()
+    parsers = {f.name: f.metadata["parse"] for f in dataclasses.fields(cfg)}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -101,12 +119,12 @@ def read_config(path, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in types:
+        if key not in parsers:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, casts[types[key]](val))
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not {types[key]}") from None
+            setattr(cfg, key, parsers[key](val))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {key} = {val!r}: {exc}") from None
     return cfg
 
 
@@ -485,24 +503,25 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed writes (help into a closed pipe) raise."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file read first")
-    p.add_argument("--n", type=int, help="ambient dimension")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed (measure --mc)")
-    p.add_argument("--rule-size", type=int, dest="rule_size",
-                   help="spherical-rule size override")
-    p.add_argument("--tol", type=float, help="tolerance override")
-    p.add_argument("--grid", type=int, help="table grid resolution")
-    p.add_argument("--t-points", type=int, dest="t_points",
-                   help="interpolation grid size")
-    p.add_argument("--out-dir", dest="out_dir",
-                   help="directory for JSON reports and figures (default: artifacts)")
-    p.add_argument("--body", help="primary body string")
-    p.add_argument("--body2", help="secondary body string")
+    p.add_argument("--config", help="key = value config file, read before the flags")
+    for f in dataclasses.fields(RunConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                       type=f.metadata["parse"],
+                       help=f"{f.metadata['help']} (default: {f.default!r})")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gausscvx",
         description="Gaussian-convexity diagnostics: tables, checks, figures")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -511,66 +530,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=3.0)
-    p.add_argument("--points", type=_count, default=31)
+    p.add_argument("--points", type=_at_least(int, 0), default=31)
     p.add_argument("--out", help="CSV destination (default stdout)")
-    _add_common(p)
     p.set_defaults(func=cmd_specfun)
 
     p = sub.add_parser("cylinder-table", help="per-measure profile table (CSV)")
     p.add_argument("--out", help="CSV destination (default stdout)")
-    _add_common(p)
     p.set_defaults(func=cmd_cylinder_table)
 
     p = sub.add_parser("partition", help="argmin families and crossings (JSON)")
-    _add_common(p)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("measure", help="Gaussian measure of a body (JSON)")
-    p.add_argument("--mc", type=_count, default=0,
+    p.add_argument("--mc", type=_at_least(int, 0), default=0,
                    help="Monte Carlo cross-check sample count")
-    _add_common(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("torsion", help="torsional rigidity (JSON)")
     p.add_argument("--halfspace", type=float, default=None,
                    help="half-space measure instead of a body")
-    _add_common(p)
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("verify", help="run a named inequality check (JSON)")
     p.add_argument("--check", required=True, choices=sorted(CHECKS),
                    metavar="CHECK", help="one of: %(choices)s")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="SVG figures of the profile functions")
     p.add_argument("--figure", default="all",
                    choices=["phi12", "s12", "phidiff", "all"])
-    _add_common(p)
     p.set_defaults(func=cmd_plot)
 
+    for p in sub.choices.values():  # every command takes every run setting
+        _add_common(p)
     return ap
 
 
-def _count(text: str) -> int:
-    """argparse type of a count that may be 0 (off) but not negative."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = read_config(args.config, base=cfg)
-    for f in dataclasses.fields(cfg):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            setattr(cfg, f.name, v)
-    if cfg.n < 1:
-        raise ConfigError(f"dimension n must be >= 1, got {cfg.n}")
-    return cfg
+    """The config file's settings, or the defaults, with the flags given
+    on top."""
+    cfg = read_config(args.config) if args.config else RunConfig()
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _finish(code: int, message: str = "") -> int:
@@ -593,6 +594,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return _finish(EXIT_PASS if exc.code in (0, None) else EXIT_USAGE)
+    except (OSError, ValueError):  # help or usage text to a closed stream
+        return _finish(EXIT_USAGE)
     try:
         return _finish(args.func(_build_config(args), args))
     except (bd.BodyError, sf.DomainError, ConfigError, OSError) as exc:

@@ -76,14 +76,10 @@ class Estimate:
     value: float
     err: float
     method: str  # closed | quadrature | monte_carlo
-    n_samples: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.err < 0:
             raise ValueError("err must be nonnegative")
-        if self.method == "monte_carlo" and self.n_samples is None:
-            raise ValueError("monte_carlo estimates carry n_samples")
 
     def __add__(self, other: "Estimate | float") -> "Estimate":
         if isinstance(other, Estimate):
@@ -456,7 +452,7 @@ def mc_measure(K: bd.SupportBody, N: int, seed: int) -> Estimate:
         shard += 1
     phat = hits / N
     stderr = np.sqrt(phat * (1.0 - phat) / N)
-    return Estimate(phat, 3.0 * stderr, "monte_carlo", n_samples=N, seed=seed)
+    return Estimate(phat, 3.0 * stderr, "monte_carlo")
 
 
 # ---------------------------------------------------------------------------

@@ -216,10 +216,13 @@ class ConcavityReport:
         return float(np.max(self.second_diffs - self.budget))
 
 
+MIN_T_POINTS = 9  # fewest interpolation points a concavity check takes
+
+
 def _uniform_grid(n_t: int) -> np.ndarray:
     """t_i = i / (n_t + 1), i = 1..n_t."""
-    if n_t < 9:
-        raise VerificationError("need at least 9 t points")
+    if n_t < MIN_T_POINTS:
+        raise VerificationError(f"need at least {MIN_T_POINTS} t points")
     return (np.arange(n_t) + 1.0) / (n_t + 1.0)
 
 
@@ -253,8 +256,6 @@ def concavity_check(transform, K: bd.SupportBody, L: bd.SupportBody,
     verdict "violation" requires a second difference above 5x the budget;
     "concave_within_tol" requires all of them at or below the budget.
     """
-    if K.n != L.n:
-        raise VerificationError("dimension mismatch")
     tr = measure_transform(transform, K.n)
     t = _uniform_grid(n_t)
     a, aerr = gm.path_measures(K, L, t, rule)
@@ -286,8 +287,6 @@ def max_power(K: bd.SupportBody, L: bd.SupportBody, n_t: int = 33,
     Measures along the path are computed once; each candidate power is then
     an arithmetic re-test, so 30 bisection steps cost one path evaluation.
     """
-    if K.n != L.n:
-        raise VerificationError("dimension mismatch")
     t = _uniform_grid(n_t)
     lo, hi = -4.0, 8.0
     a, aerr = gm.path_measures(K, L, t, rule)
@@ -390,7 +389,7 @@ def minkowski_first_check(K: bd.SupportBody, L: bd.SupportBody,
     (1 - E|X|^2/n) instead, which is implied by rhs (it is smaller).
     """
     if K.n != L.n:
-        raise VerificationError("dimension mismatch")
+        raise bd.BodyError("dimension mismatch")
     sample = gm.polar_sample(K, rule)
     aK, (ex2,) = sample.means(gm.RayPolynomial.abs_x_power(2))
     aL = gm.measure(L, rule)

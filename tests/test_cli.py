@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 from gausscvx import cli
 from gausscvx import cylinder as cyl
 from gausscvx import specfun as sf
+from gausscvx import verify as vf
 
 from body_strings import body_strings
 
@@ -331,6 +332,21 @@ class TestVerifyCommand:
         assert code == 3
         assert "second-moment margin" in err
 
+    def test_inconclusive_concavity_exits_three(self, capsys, tmp_path, monkeypatch):
+        # no shipped pair is known to leave the budget undecided, so stub a
+        # report whose largest second difference is 2 budgets
+        t = (np.arange(9) + 1.0) / 10.0
+        d2, budget = np.full(7, 2e-3), np.full(7, 1e-3)
+        report = vf.ConcavityReport(
+            transform="psi_inv", pair=("K", "L"), t_grid=t, measures=t,
+            measure_errs=0 * t, transformed=t, second_diffs=d2, budget=budget,
+            verdict=vf._verdict(d2, budget))
+        monkeypatch.setattr(vf, "concavity_check", lambda *args, **kw: report)
+        code, out, _ = run(["verify", "--check", "ehrhard", "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code == 3
+        assert json.loads(out)["verdict"] == "inconclusive"
+
     def test_violation_exit_code_routing(self, capsys, tmp_path, monkeypatch):
         # no true inequality in the suite actually fails, so exercise the
         # exit-1 path by stubbing a row that reports a negative margin
@@ -452,8 +468,24 @@ class TestUsageErrors:
         ["partition", "--n", "0"],
         ["cylinder-table", "--n", "0"],
         ["measure", "--n", "-1"],
+        # a setting below its least value: --rule-size 1 and -3 exited 4
+        # (ZeroDivisionError), --grid -1 wrote an empty table with exit 0,
+        # --t-points 5 exited 3 and --tol -1 ran with the default tolerance
+        ["measure", "--n", "2", "--body", "ball:R=1", "--rule-size", "1"],
+        ["measure", "--n", "2", "--body", "ball:R=1", "--rule-size", "-3"],
+        ["cylinder-table", "--n", "2", "--grid", "-1"],
+        ["cylinder-table", "--config", "grid.cfg"],  # grid.cfg holds grid = -1
+        ["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=1",
+         "--t-points", "5"],
+        ["verify", "--check", "moments", "--tol", "-1"],
+        # a pair of bodies of different dimension exited 3
+        *(["verify", "--check", check, "--n", "2", "--body", "ball:R=1",
+           "--body2", "ball:R=1,n=3"]
+          for check in ("ehrhard", "max-power", "minkowski-first")),
     ], ids=" ".join)
-    def test_refused_input_is_usage_error(self, argv, capsys, tmp_path):
+    def test_refused_input_is_usage_error(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.cfg").write_text("grid = -1\n")
         code, out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
         assert code == 2
         assert "error" in err and out == ""
@@ -476,10 +508,13 @@ class TestUsageErrors:
 
 
 class _ClosedPipe(io.StringIO):
-    """A standard stream whose reader has gone: every write raises."""
+    """A standard stream whose reader has gone: a write of any text raises,
+    and a write of "" does nothing, as on a real pipe."""
 
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+        if text:
+            raise BrokenPipeError(32, "Broken pipe")
+        return 0
 
 
 class TestClosedOutput:
@@ -497,6 +532,12 @@ class TestClosedOutput:
         monkeypatch.setattr(sys, "stderr", _ClosedPipe())
         code = cli.main(["verify", "--check", "stub", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["measure", "--help"]], ids=" ".join)
+    def test_help_to_a_closed_stdout_exits_two(self, argv, monkeypatch):
+        # argparse dropped the failed write of the help text, so this exited 0
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert cli.main(argv) == 2
 
 
 class TestJsonReport:
@@ -561,6 +602,39 @@ class TestInternalErrors:
             code = cli.main([command, "--n", str(n), "--rule-size", "64", "--grid", "9",
                              "--out-dir", tmp])
         assert code in (0, 2, 3), (command, n, err.getvalue())
+
+    # per numeric setting: a command that reads it, the values drawn, the
+    # least value the CLI accepts
+    NUMERIC_SETTINGS = {
+        "rule_size": (["measure", "--n", "2", "--body", "ball:R=1"], st.integers(-2, 4), 0),
+        "grid": (["cylinder-table", "--n", "2"], st.integers(-2, 3), 1),
+        "t_points": (["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=0.8"],
+                     st.integers(0, 11), 9),
+        "tol": (["verify", "--check", "moments", "--n", "2", "--rule-size", "64"],
+                st.sampled_from([-1.0, 0.0, 1e-6]), 0.0),
+    }
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_fuzzed_numeric_settings_never_exit_one(self, data):
+        # a value below its least, or a rule whose half rule is empty, is a
+        # usage error (2), from a flag or a config line alike; any other
+        # value runs (0) or fails numerically (3)
+        key = data.draw(st.sampled_from(sorted(self.NUMERIC_SETTINGS)))
+        argv, values, least = self.NUMERIC_SETTINGS[key]
+        value = data.draw(values)
+        via_config = data.draw(st.booleans())
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            if via_config:
+                (Path(tmp) / "run.cfg").write_text(f"{key} = {value}\n")
+                setting = ["--config", str(Path(tmp) / "run.cfg")]
+            else:
+                setting = ["--" + key.replace("_", "-"), str(value)]
+            code = cli.main(argv + setting + ["--out-dir", tmp])
+        refused = value < least or (key == "rule_size" and value == 1)
+        assert code == 2 if refused else code in (0, 3), (key, value, err.getvalue())
 
 
 class TestConfigFile:

@@ -511,9 +511,7 @@ class TestFirstVariation:
 
 
 class TestEstimateAlgebra:
-    def test_monte_carlo_requires_samples(self):
-        with pytest.raises(ValueError):
-            gm.Estimate(1.0, 0.1, "monte_carlo")
+    def test_negative_error_is_refused(self):
         with pytest.raises(ValueError):
             gm.Estimate(1.0, -0.1, "closed")
 

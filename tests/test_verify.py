@@ -308,6 +308,16 @@ class TestConcavityCheck:
         with pytest.raises(vf.VerificationError):
             vf.concavity_check("psi_inv", K, K, n_t=5)
 
+    @pytest.mark.parametrize("worst, verdict", [
+        (0.5, "concave_within_tol"), (1.0, "concave_within_tol"),
+        (1.5, "inconclusive"), (5.0, "inconclusive"), (5.5, "violation")])
+    def test_verdict_bands(self, worst, verdict):
+        # worst = the largest second difference in units of its budget:
+        # at most 1 passes, above 5 is a violation, in between undecided
+        budget = np.array([2e-3, 1e-3, 4e-3])
+        d2 = np.array([-1e-3, worst * 1e-3, 0.0])
+        assert vf._verdict(d2, budget) == verdict
+
 
 class TestMaxPower:
     def test_ball_pair_reaches_dimension_power(self):
