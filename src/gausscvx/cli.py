@@ -12,17 +12,17 @@ plot            self-contained SVG line charts of the profile functions
 
 Exit codes: 0 = pass, 1 = a verified violation, 2 = usage error (an
 unknown check, a malformed body string or config file, a setting below
-its least value, ``--rule-size 1``, a pair of bodies of different
-dimension, and help or output to a closed stdout or stderr included),
-3 = numerical failure, 4 = internal error (any other exception; its
-traceback goes to stderr).  ``verify`` runs one row of ``CHECKS`` and
-maps its verdict through ``VERDICT_EXIT``: pass -> 0, violation -> 1,
-inconclusive -> 3 (a concavity check whose error budget cannot decide),
-witness and none -> 0 (a counterexample search's witness is its finding,
-inside the report, not a failure).  ``--tol`` overrides the default
-tolerance of the other checks; it does not affect ehrhard, conjecture,
-weak or the counterexample searches, whose verdicts come from the
-concavity check's error budget.
+its least value or not finite, ``--rule-size 1``, a pair of bodies of
+different dimension, and help or output to a closed stdout or stderr
+included), 3 = numerical failure, 4 = internal error (any other
+exception; its traceback goes to stderr).  ``verify`` runs one row of
+``CHECKS`` and maps its verdict through ``VERDICT_EXIT``: pass -> 0,
+violation -> 1, inconclusive -> 3 (a concavity check whose error budget
+cannot decide), witness and none -> 0 (a counterexample search's witness
+is its finding, inside the report, not a failure).  ``--tol`` overrides
+the default tolerance of the other checks; it does not affect ehrhard,
+conjecture, weak or the counterexample searches, whose verdicts come from
+the concavity check's error budget.
 
 Bodies are given in the grammar of ``body.parse_body``:
 ``name:key=val,...`` composed with ``interp:lambda=x;<body>|<body>``.
@@ -66,11 +66,13 @@ class ConfigError(ValueError):
 
 def _at_least(kind, least=None):
     """Parser of a flag or config value: ``kind`` of the text, refused as a
-    usage error below ``least`` (NaN included)."""
+    usage error below ``least`` or when not finite (NaN and inf)."""
     def parse(text: str):
         value = kind(text)
         if least is not None and not value >= least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return parse

@@ -10,10 +10,10 @@ for integrands carried as ray polynomials f(t theta) = sum_j a_j(theta) t^j.
 Unbounded bodies cost nothing extra because J_p(inf) is finite.
 
 Spherical rules: midpoint angles (n=2), Fibonacci sphere (n=3), seeded
-Monte Carlo directions (n=4).  Deterministic rules report the nested
-half-grid difference as their error; the MC rule reports 3 standard
-errors.  Sums use numpy's pairwise reduction, so results do not depend
-on evaluation order.
+Monte Carlo directions (n=4).  A ``SphereRule`` carries its nested half
+rule (none for the MC rule); deterministic rules report the half-rule
+difference as their error, the MC rule 3 standard errors.  Sums use
+numpy's pairwise reduction, so results do not depend on evaluation order.
 
 Integrands are ``RayPolynomial``s: sums of terms c x^m |x|^a ||x||_K^g
 held as data, one class for the moments here, the torsion test functions
@@ -22,8 +22,8 @@ place a term is lowered to its ray coefficient c theta^m rho^-g, from the
 directions and the sampled rho; it computes each power theta_i^e and
 rho^g once per set of directions and keeps it.
 
-A ``PolarSample`` holds rho on a rule's points stacked with its nested
-half rule's, so a body's radial function is evaluated in one call per
+A ``PolarSample`` holds rho on a rule's points, which are followed by
+its half rule's, so a body's radial function is evaluated in one call per
 sample however many moments, bundles and torsion bounds integrate against
 it.  It also keeps one table of J_{n-1+j}(rho), j = 0..deg: the kernel
 gives the top two orders and the downward recurrence
@@ -38,8 +38,8 @@ reduction over the last axis takes every row's full- and half-rule sums
 same Estimates as its integrands taken one at a time on the same table.
 An integrand is a RayPolynomial or its lowered form {j: a_j(theta)}.
 A check asks for the integrals it reads, in one batch per sample, and
-takes normalized means E f from ``PolarSample.means``.
-``measure`` and ``ray_integral`` are one-shot forms over a fresh sample.
+takes normalized means E f from ``PolarSample.means``, the one way to
+normalize; ``measure`` is gamma(K) over a fresh sample.
 
 ``path_measures`` gives gamma and its err along a Minkowski path
 (1 - t) K + t L.  When L is a dilate cK, rho_{K_t} = (1 - t + t c) rho_K
@@ -80,19 +80,6 @@ class Estimate:
     def __post_init__(self):
         if self.err < 0:
             raise ValueError("err must be nonnegative")
-
-    def __add__(self, other: "Estimate | float") -> "Estimate":
-        if isinstance(other, Estimate):
-            return Estimate(self.value + other.value, self.err + other.err, self.method)
-        return Estimate(self.value + other, self.err, self.method)
-
-    def __sub__(self, other: "Estimate | float") -> "Estimate":
-        return self + other * -1.0
-
-    def __mul__(self, c: float) -> "Estimate":
-        return Estimate(self.value * c, self.err * abs(c), self.method)
-
-    __rmul__ = __mul__
 
     def over(self, other: "Estimate") -> "Estimate":
         """First-order error propagation for self / other."""
@@ -236,47 +223,41 @@ class RayColumns:
 
 @dataclass(frozen=True)
 class SphereRule:
-    n: int
-    points: np.ndarray
-    weight: float  # per-point weight: area(S^{n-1}) / len(points)
+    """``size`` points of weight ``weight`` = area(S^{n-1}) / size, then its
+    nested half rule's points of weight ``half_weight`` (None, and no half
+    rule, for the n=4 Monte Carlo rule): one radial call samples both."""
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
+    n: int
+    size: int
+    points: np.ndarray
+    weight: float
+    half_weight: float | None
 
 
 @lru_cache(maxsize=32)
 def sphere_rule(n: int, size: int | None = None) -> SphereRule:
     pts = bd.direction_grid(n, size)
-    return SphereRule(n=n, points=pts, weight=bd.sphere_area(n) / len(pts))
-
-
-def _half_rule(rule: SphereRule) -> SphereRule:
+    weight = bd.sphere_area(n) / len(pts)
+    if n == 4:
+        return SphereRule(n, len(pts), pts, weight, None)
     # n=2 must re-sample rather than take points[::2]: that subset is a
     # quarter-period-shifted midpoint rule whose leading Fourier error mode
     # vanishes for even integrands, silently reproducing the full rule
-    return sphere_rule(rule.n, rule.size // 2)
-
-
-@lru_cache(maxsize=32)
-def _stacked_points(n: int, size: int) -> np.ndarray:
-    """The points of ``sphere_rule(n, size)`` followed by its half rule's,
-    so one radial call samples both."""
-    rule = sphere_rule(n, size)
-    pts = np.concatenate([rule.points, _half_rule(rule).points])
-    pts.setflags(write=False)
-    return pts
+    half = bd.direction_grid(n, len(pts) // 2)
+    points = np.concatenate([pts, half])
+    points.setflags(write=False)
+    return SphereRule(n, len(pts), points, weight, bd.sphere_area(n) / len(half))
 
 
 @dataclass(eq=False)
 class PolarSample:
-    """rho_K on a rule's points stacked with its nested half rule's.
+    """rho_K on the points of a rule, its nested half rule's included.
 
-    ``points`` and ``rho`` hold the rule's ``rule.size`` directions first
-    and the half rule's after them; each integrand is evaluated once on
-    both and split into the two polar sums.  ``half`` is None for the n=4
-    Monte Carlo rule, which has no half rule: its error is 3 standard
-    errors instead of a half-rule difference.
+    ``rho`` follows ``rule.points``: the rule's ``rule.size`` directions
+    first and the half rule's after them; each integrand is evaluated once
+    on both and split into the two polar sums.  The n=4 Monte Carlo rule
+    has no half rule: its error is 3 standard errors instead of a
+    half-rule difference.
 
     The table of J_{n-1+j}(rho), j = 0..deg, is built once, at the highest
     degree asked for so far, and kept for later integrals.  Its lower rows
@@ -287,14 +268,12 @@ class PolarSample:
 
     K: bd.SupportBody
     rule: SphereRule
-    half: SphereRule | None
-    points: np.ndarray
     rho: np.ndarray
     _J: np.ndarray | None = field(default=None, init=False, repr=False)
     _cols: RayColumns = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._cols = RayColumns(self.points, self.rho)
+        self._cols = RayColumns(self.rule.points, self.rho)
 
     def _orders(self, deg: int) -> np.ndarray:
         if self._J is None or len(self._J) <= deg:
@@ -310,11 +289,11 @@ class PolarSample:
         n, m = self.K.n, self.rule.size
         norm = (2.0 * np.pi) ** (-n / 2.0)
         val = norm * self.rule.weight * np.sum(rows[..., :m], axis=-1)
-        if self.half is None:
+        if self.rule.half_weight is None:
             scale = norm * bd.sphere_area(n)
             err = 3.0 * scale * np.std(rows, axis=-1) / np.sqrt(m)
         else:
-            err = np.abs(val - norm * self.half.weight * np.sum(rows[..., m:], axis=-1))
+            err = np.abs(val - norm * self.rule.half_weight * np.sum(rows[..., m:], axis=-1))
         return val, err + 1e-13 * np.maximum(1.0, np.abs(val))
 
     def integrals(self, *fs) -> list[Estimate]:
@@ -323,7 +302,7 @@ class PolarSample:
         half-resolution rule (3 sigma for the n=4 Monte Carlo rule).
 
         Each f is a RayPolynomial or its lowered form, a dict {j: a_j(theta)}
-        of ray-coefficient columns on the sample's ``points`` (the form of
+        of ray-coefficient columns on ``rule.points`` (the form of
         integrands that are not RayPolynomials, such as the first
         variation).  Each f is lowered once; its per-direction row
         sum_j a_j J_{n-1+j}(rho) is built degree by degree, and one
@@ -350,12 +329,8 @@ class PolarSample:
         a, *ints = self.integrals(RayPolynomial.constant(1.0), *fs)
         return a, [i.over(a) for i in ints]
 
-    def integral(self, f) -> Estimate:
-        """``integrals`` of the one integrand f."""
-        return self.integrals(f)[0]
-
     def scaled_measure(self, c: float) -> tuple[float, float]:
-        """gamma(cK), c > 0, and its err: ``integral`` of 1 on rho_{cK} =
+        """gamma(cK), c > 0, and its err: ``integrals`` of 1 on rho_{cK} =
         c rho_K bit for bit, from the one kernel row J_{n-1}(c rho)."""
         value, err = self._sums(sf.j_lower(self.K.n - 1, c * self.rho))
         return float(value), float(err)
@@ -365,9 +340,7 @@ def polar_sample(K: bd.SupportBody, rule: SphereRule | None = None) -> PolarSamp
     """Evaluate rho_K in one call on ``rule`` (default per dimension) and
     its nested half rule."""
     rule = rule or sphere_rule(K.n)
-    half = None if K.n == 4 else _half_rule(rule)
-    points = rule.points if half is None else _stacked_points(rule.n, rule.size)
-    return PolarSample(K, rule, half, points, np.asarray(bd.radial(K, points), dtype=float))
+    return PolarSample(K, rule, np.asarray(bd.radial(K, rule.points), dtype=float))
 
 
 def path_measures(K: bd.SupportBody, L: bd.SupportBody, t,
@@ -387,44 +360,27 @@ def path_measures(K: bd.SupportBody, L: bd.SupportBody, t,
     return tuple(np.array(rows).T)
 
 
-def ray_integral(K: bd.SupportBody, f: RayPolynomial,
-                 rule: SphereRule | None = None) -> Estimate:
-    """Unnormalized int_K f dgamma over a fresh sample of K on ``rule``."""
-    return polar_sample(K, rule).integral(f)
-
-
 def measure(K: bd.SupportBody, rule: SphereRule | None = None) -> Estimate:
     """gamma(K) by the polar rule."""
-    return ray_integral(K, RayPolynomial.constant(1.0), rule)
+    return polar_sample(K, rule).integrals(RayPolynomial.constant(1.0))[0]
 
 
 @dataclass(frozen=True)
 class MomentsBundle:
     """Normalized Gaussian moments of a body, all as Estimates."""
 
-    K: bd.SupportBody
     a: Estimate            # gamma(K)
     m2: Estimate           # E |X|^2
     m4: Estimate           # E |X|^4
     gK2: Estimate          # E ||X||_K^2
     gK1: Estimate          # E ||X||_K
-    var_x2: Estimate       # Var |X|^2
-    sample: PolarSample
-
-    def dir1(self, theta) -> Estimate:
-        return self.sample.integral(RayPolynomial.dot_power(theta, 1)).over(self.a)
-
-    def dir2(self, theta) -> Estimate:
-        return self.sample.integral(RayPolynomial.dot_power(theta, 2)).over(self.a)
 
 
 def moments_bundle(K: bd.SupportBody, rule: SphereRule | None = None) -> MomentsBundle:
-    s = polar_sample(K, rule)
-    a, (m2, m4, gK2, gK1) = s.means(
+    a, (m2, m4, gK2, gK1) = polar_sample(K, rule).means(
         RayPolynomial.abs_x_power(2), RayPolynomial.abs_x_power(4),
         RayPolynomial.gauge_power(2), RayPolynomial.gauge_power(1))
-    return MomentsBundle(K=K, a=a, m2=m2, m4=m4, gK2=gK2, gK1=gK1,
-                         var_x2=m4 - m2.times(m2), sample=s)
+    return MomentsBundle(a=a, m2=m2, m4=m4, gK2=gK2, gK1=gK1)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +392,10 @@ _SHARD = 1 << 18
 
 def mc_measure(K: bd.SupportBody, N: int, seed: int) -> Estimate:
     """Hit fraction of N standard Gaussian samples, counter-based streams
-    per shard so the result is reproducible and scheduling-independent."""
+    per shard so the result is reproducible and scheduling-independent.
+    err is 3 sqrt(p(1 - p) / N); at 0 or N hits, where that is 0, it is the
+    exact one-sided bound 1 - 0.00135^(1/N), the distance to the p at which
+    the observed outcome has one-sided 3-sigma probability."""
     if N < 1:
         raise ValueError("N >= 1")
     hits = 0
@@ -451,8 +410,11 @@ def mc_measure(K: bd.SupportBody, N: int, seed: int) -> Estimate:
         done += m
         shard += 1
     phat = hits / N
-    stderr = np.sqrt(phat * (1.0 - phat) / N)
-    return Estimate(phat, 3.0 * stderr, "monte_carlo")
+    if 0 < hits < N:
+        err = 3.0 * np.sqrt(phat * (1.0 - phat) / N)
+    else:
+        err = 1.0 - 0.00135 ** (1.0 / N)
+    return Estimate(phat, err, "monte_carlo")
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +438,17 @@ def first_variation(sample: PolarSample, L: bd.SupportBody) -> Estimate:
     K + eps L unbounded in a direction where K is bounded: gamma jumps at
     0+, and the derivative is +inf.
     """
-    K, n = sample.K, sample.K.n
+    K, n, pts = sample.K, sample.K.n, sample.rule.points
     r = bd.inradius(K)
     if r is None or not np.isfinite(r):
         raise bd.BodyError("the first variation needs a finite in-radius of K")
-    unbounded = sample.points[np.isinf(np.asarray(L.support(sample.points), dtype=float))]
+    unbounded = pts[np.isinf(np.asarray(L.support(pts), dtype=float))]
     if len(unbounded) and np.any(np.isfinite(np.asarray(K.support(unbounded), dtype=float))):
         return Estimate(np.inf, 0.0, "quadrature")
     h = 1e-3 * r
 
     def slope(eps: float) -> np.ndarray:
-        rho = np.asarray(bd.radial(bd.minkowski_sum(K, L, eps), sample.points), dtype=float)
+        rho = np.asarray(bd.radial(bd.minkowski_sum(K, L, eps), pts), dtype=float)
         with np.errstate(invalid="ignore"):
             c = (rho / sample.rho - 1.0) / eps
         return np.where(np.isinf(sample.rho), 0.0, c)

@@ -154,7 +154,7 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
     b = np.convolve(dP, dP) if len(dP) else np.zeros(1)
 
     s = gm.polar_sample(K, rule)
-    q, grad_tan2 = _gauge_slope_sq(K, s.points, s.rho, _FD_STEP)
+    q, grad_tan2 = _gauge_slope_sq(K, s.rule.points, s.rho, _FD_STEP)
     grad = {m: b[m] * q**m * (q**2 + grad_tan2) for m in range(len(b))}
     _, (fv, grad2) = s.means(F * v, grad)
     if grad2.value <= 0:

@@ -1,6 +1,7 @@
 """Convex-body layer: supports, gauges, radial profiles, interpolation rules."""
 
 import dataclasses
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -40,6 +41,39 @@ class TestSupportsAndGauges:
                 x = rng.normal(size=n)
                 x = x / bd.gauge(K, x)       # boundary point
                 assert float(x @ u) <= float(K.support(u[None, :])[0]) + 1e-10
+
+    def test_translate_support_is_shifted_brute_maximum(self):
+        # h_{K+v}(u) = h_K(u) + <u, v>, against the largest <x + v, u> over
+        # 2^17 points of an ellipse's boundary (within 1e-8 of the maximum)
+        # and over a box's vertices (where the maximum is attained)
+        rng = np.random.default_rng(11)
+        phi = np.linspace(0.0, 2.0 * np.pi, 1 << 17, endpoint=False)
+        ellipse = np.column_stack([0.7 * np.cos(phi), 1.3 * np.sin(phi)])
+        corners = np.array(list(itertools.product(*((-w, w) for w in (0.8, 1.0, 1.3)))))
+        for K, boundary, atol in ((bd.ellipsoid([0.7, 1.3], 2), ellipse, 1e-8),
+                                  (bd.box([0.8, 1.0, 1.3], 3), corners, 1e-14)):
+            v = rng.uniform(-0.4, 0.4, size=K.n)
+            u = _seeded_directions(K.n, 40, 12)
+            h = bd.translate(K, v).support(u)
+            brute = np.max((boundary + v) @ u.T, axis=0)
+            assert np.all(brute <= h + 1e-14)
+            np.testing.assert_allclose(h, brute, rtol=0, atol=atol)
+            np.testing.assert_allclose(h, K.support(u) + u @ v, rtol=0, atol=1e-15)
+
+    def test_lp_ball_p1_support_is_max_abs(self):
+        # the p = 1 ball is the cross-polytope with vertices +-r e_i, so
+        # h(u) = r max |u_i|, the largest <x, u> over boundary points on a
+        # fine direction grid and the vertices, where it is attained
+        r = 1.3
+        for n in (2, 3):
+            K = bd.lp_ball(r, 1.0, n)
+            dirs = bd.direction_grid(n, 4096)
+            boundary = np.vstack([bd.radial(K, dirs)[:, None] * dirs,
+                                  r * np.eye(n), -r * np.eye(n)])
+            u = _seeded_directions(n, 40, 13)
+            h = K.support(u)
+            np.testing.assert_allclose(h, r * np.max(np.abs(u), axis=1), rtol=1e-15)
+            np.testing.assert_allclose(h, np.max(boundary @ u.T, axis=0), rtol=1e-14)
 
     def test_gauge_positive_homogeneous(self):
         K = bd.catalog("ellipsoid", 3, c=(0.7, 1.1, 1.9))

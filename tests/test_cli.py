@@ -145,6 +145,18 @@ class TestMeasureCommand:
         assert abs(rep["mc_value"] - rep["value"]) <= \
             rep["mc_err"] + 3 * rep["err"]
 
+    @pytest.mark.parametrize("body, mc", [("ball:R=4", "1000"), ("ball:R=1", "1")])
+    def test_mc_with_all_or_no_hits_is_consistent(self, body, mc, capsys, tmp_path):
+        # every sample hits (R = 4) or the one sample misses (R = 1): the
+        # 3-sigma err was 0 there, and a correct quadrature exited 3
+        code, out, _ = run(["measure", "--n", "2", "--body", body, "--mc", mc,
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["mc_value"] in (0.0, 1.0)
+        assert rep["mc_err"] == 1.0 - 0.00135 ** (1.0 / int(mc))
+        assert rep["consistent"] is True
+
     def test_body_string_with_explicit_dimension(self, capsys, tmp_path):
         code, out, _ = run(["measure", "--body", "cylinder:k=2,R=0.9,n=3",
                             "--out-dir", str(tmp_path)], capsys)
@@ -308,6 +320,16 @@ class TestVerifyCommand:
         rep = json.loads(out)
         assert rep["verdict"] == "witness"
         assert rep["details"]["witness"]["second_diff"] > 0
+
+    def test_counterexample_search_without_mismatch_reports_none(self, capsys, tmp_path):
+        # in n = 1 the argmin families of phi_k and s_k never differ, so the
+        # search falls back to one pair and finds nothing
+        code, out, _ = run(["verify", "--check", "counterexample-bad-func", "--n", "1",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["verdict"] == "none"
+        assert rep["details"]["witness"] is None
 
     def test_unknown_check_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(["verify", "--check", "nonsense",
@@ -478,6 +500,12 @@ class TestUsageErrors:
         ["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=1",
          "--t-points", "5"],
         ["verify", "--check", "moments", "--tol", "-1"],
+        # a tolerance of inf graded every margin pass, and alpha-halfspace
+        # wrote "margin": Infinity, which is not JSON
+        ["verify", "--check", "moments", "--n", "2", "--body", "ball:R=1",
+         "--rule-size", "64", "--tol", "inf"],
+        ["verify", "--check", "alpha-halfspace", "--tol", "inf"],
+        ["verify", "--check", "moments", "--config", "tol.cfg"],  # tol = inf
         # a pair of bodies of different dimension exited 3
         *(["verify", "--check", check, "--n", "2", "--body", "ball:R=1",
            "--body2", "ball:R=1,n=3"]
@@ -486,6 +514,7 @@ class TestUsageErrors:
     def test_refused_input_is_usage_error(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "grid.cfg").write_text("grid = -1\n")
+        (tmp_path / "tol.cfg").write_text("tol = inf\n")
         code, out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
         assert code == 2
         assert "error" in err and out == ""
@@ -611,15 +640,15 @@ class TestInternalErrors:
         "t_points": (["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=0.8"],
                      st.integers(0, 11), 9),
         "tol": (["verify", "--check", "moments", "--n", "2", "--rule-size", "64"],
-                st.sampled_from([-1.0, 0.0, 1e-6]), 0.0),
+                st.sampled_from([-1.0, 0.0, 1e-6, math.inf]), 0.0),
     }
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_fuzzed_numeric_settings_never_exit_one(self, data):
-        # a value below its least, or a rule whose half rule is empty, is a
-        # usage error (2), from a flag or a config line alike; any other
-        # value runs (0) or fails numerically (3)
+        # a value below its least or not finite, or a rule whose half rule
+        # is empty, is a usage error (2), from a flag or a config line
+        # alike; any other value runs (0) or fails numerically (3)
         key = data.draw(st.sampled_from(sorted(self.NUMERIC_SETTINGS)))
         argv, values, least = self.NUMERIC_SETTINGS[key]
         value = data.draw(values)
@@ -633,7 +662,7 @@ class TestInternalErrors:
             else:
                 setting = ["--" + key.replace("_", "-"), str(value)]
             code = cli.main(argv + setting + ["--out-dir", tmp])
-        refused = value < least or (key == "rule_size" and value == 1)
+        refused = value < least or value == math.inf or (key == "rule_size" and value == 1)
         assert code == 2 if refused else code in (0, 3), (key, value, err.getvalue())
 
 
@@ -700,11 +729,37 @@ def test_script_loads_and_shows_help(path, capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-def test_partition_scan_writes_the_library_crossings(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "script_partition_scan", ROOT / "scripts" / "partition_scan.py")
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(f"script_{name}",
+                                                  ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_scripts_run_and_write_their_files(tmp_path, capsys):
+    # each script end to end on a small input, in process: a library
+    # change that breaks a script's use of it fails here
+    runs = {
+        "partition_scan": (["--max-n", "2", "--grid", "49", "--out-dir", str(tmp_path / "p")],
+                           ["p/summary.json", "p/partition_n2.csv"]),
+        "bound_sweep": (["--n", "2", "--points", "3", "--rule-size", "64",
+                         "--out", str(tmp_path / "sweep.csv")], ["sweep.csv"]),
+        "hunt_counterexamples": (["--n", "2", "--n-t", "9", "--transforms", "bad_func",
+                                  "--out", str(tmp_path / "hunt.json")], ["hunt.json"]),
+        "make_figures": (["--n", "2", "--out-dir", str(tmp_path / "f")], ["f/partition.json"]),
+    }
+    for name, (argv, files) in runs.items():
+        assert _load_script(name).main(argv) == 0, name
+        for f in files:
+            assert (tmp_path / f).stat().st_size > 0, (name, f)
+    assert len(list((tmp_path / "f").glob("*.svg"))) > 0
+    assert len(np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)) == 3
+    assert json.loads((tmp_path / "hunt.json").read_text())
+
+
+def test_partition_scan_writes_the_library_crossings(tmp_path, capsys):
+    module = _load_script("partition_scan")
     assert module.main(["--max-n", "3", "--grid", "199", "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert sorted(summary) == ["2", "3"]

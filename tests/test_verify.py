@@ -3,6 +3,7 @@
 import importlib.util
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -471,31 +472,42 @@ SUITE_BODIES = [
         bd.cylinder(n - 1, 1.0, n), bd.lp_ball(1.3, 1.5, n))]
 
 
-def _bundle_suite(K, rule):
-    """The suite's values from degree-4 moment bundles of K and of each
-    translate: the reference the suite's one batch per sample replaces."""
-    b = gm.moments_bundle(K, rule)
-    ref = {"a": b.a.value, "m2": b.m2.value, "m4": b.m4.value,
-           "err": b.m2.err + b.m4.err + b.a.err,
-           "dir2": max(b.dir2(e).value for e in np.eye(K.n)), "shifted": []}
+def _one_by_one_suite(K, rule):
+    """The suite's values from one-integrand ``integrals`` calls on fresh
+    samples of K (its degree-4 table built first) and of each translate:
+    the reference the suite's one batch per sample replaces."""
+    P = gm.RayPolynomial
+
+    def mean(s, f, a):
+        return s.integrals(f)[0].over(a)
+
+    s = gm.polar_sample(K, rule)
+    m4 = s.integrals(P.abs_x_power(4))[0]
+    a = s.integrals(P.constant(1.0))[0]
+    m2, m4 = mean(s, P.abs_x_power(2), a), m4.over(a)
+    ref = {"a": a.value, "m2": m2.value, "m4": m4.value, "err": m2.err + m4.err + a.err,
+           "dir2": max(mean(s, P.dot_power(e, 2), a).value for e in np.eye(K.n)),
+           "shifted": []}
     theta = np.eye(K.n)[0]
     r = bd.inradius(K)
     for frac in (0.3, 0.6, 0.85):
-        bt = gm.moments_bundle(bd.translate(K, frac * r * theta), rule)
-        d1, d2 = bt.dir1(theta).value, bt.dir2(theta).value
-        ref["shifted"].append({"a": bt.a.value, "dir1": d1, "dir2": d2,
-                               "margin": 1.0 - d2 - float(sf.eta(bt.a.value)) * d1 * d1})
+        sT = gm.polar_sample(bd.translate(K, frac * r * theta), rule)
+        at = sT.integrals(P.constant(1.0))[0]
+        d1, d2 = (mean(sT, P.dot_power(theta, j), at).value for j in (1, 2))
+        ref["shifted"].append({"a": at.value, "dir1": d1, "dir2": d2,
+                               "margin": 1.0 - d2 - float(sf.eta(at.value)) * d1 * d1})
     return ref
 
 
 class TestBatchedMoments:
     @pytest.mark.parametrize("K", SUITE_BODIES, ids=lambda K: f"{K.label}-n{K.n}")
     def test_suite_matches_bundle_reference(self, K):
-        # K's integrals meet the same degree-4 table as the bundle's, so
-        # they are bit for bit; each translate's table is degree 2 now, not 4
+        # K's integrals meet the same degree-4 table as the reference's, so
+        # they are bit for bit; each translate's table is degree 2, where
+        # the reference's grows from degree 0
         rule = gm.sphere_rule(K.n, SUITE_RULES[K.n])
         got = vf.moment_inequality_suite(K, rule)
-        ref = _bundle_suite(K, rule)
+        ref = _one_by_one_suite(K, rule)
         assert (got["a"], got["m2"], got["m4"], got["err"]) == \
             (ref["a"], ref["m2"], ref["m4"], ref["err"])
         assert got["margins"]["dir2"] == 1.0 - ref["dir2"]
@@ -511,8 +523,10 @@ class TestBatchedMoments:
         for F in (gm.RayPolynomial.constant(1.0),
                   gm.RayPolynomial.constant(2.0) - gm.RayPolynomial.gauge_power(2) * 0.5):
             got = tor.torsion_gauge_lower(K, F)
-            # the bundle's sample already holds a degree-4 table, as at the parent
-            ref = tor.torsion_gauge_lower(K, F, sample=gm.moments_bundle(K).sample)
+            # a sample that already holds a degree-4 table
+            s = gm.polar_sample(K)
+            s.integrals(gm.RayPolynomial.abs_x_power(4))
+            ref = tor.torsion_gauge_lower(K, F, sample=s)
             assert got.value == pytest.approx(ref.value, rel=2e-15, abs=0)
             # the err is a half-rule difference at rounding level, scaled
             assert got.err == pytest.approx(ref.err, rel=0, abs=5e-16)
@@ -559,12 +573,35 @@ class TestSInequality:
         out = vf.s_inequality_check(K, rule)
         assert out["a"] == out["rows"][0]["dilated"]
         for row in out["rows"]:
-            est = gm.PolarSample(K, s.rule, s.half, s.points, row["t"] * s.rho).integral(
-                gm.RayPolynomial.constant(1.0))
+            est = gm.PolarSample(K, s.rule, row["t"] * s.rho).integrals(
+                gm.RayPolynomial.constant(1.0))[0]
             assert (row["dilated"], row["err"]) == (est.value, est.err), row["t"]
 
 
 class TestCounterexampleSearch:
+    def test_unreproduced_violation_is_unconfirmed(self, monkeypatch):
+        # a violation on the coarse rule that does not reproduce at twice
+        # its size is listed, not reported as a witness, and the scan goes on
+        coarse = gm.sphere_rule(2, 64)
+        sizes = []
+
+        def check(tr, K, L, n_t, rule):
+            sizes.append(rule.size)
+            return SimpleNamespace(
+                verdict="violation" if rule is coarse else "concave_within_tol",
+                second_diffs=np.zeros(n_t - 2), budget=np.ones(n_t - 2),
+                t_grid=np.linspace(0.0, 1.0, n_t))
+
+        monkeypatch.setattr(vf, "concavity_check", check)
+        fam = [(bd.ball(0.5, 2), bd.ball(1.0, 2)), (bd.ball(0.3, 2), bd.ball(2.0, 2))]
+        out = vf.counterexample_search("phi_inv", fam, n_t=9, rule=coarse)
+        assert sizes == [64, 128, 64, 128]
+        assert out["witness"] is None
+        assert out["unconfirmed"] == [{"pair_index": i, "labels": (K.label, L.label)}
+                                      for i, (K, L) in enumerate(fam)]
+        assert out["pairs_scanned"] == 2
+        assert out["message"] == "none found at this resolution"
+
     def test_phi_inv_witness_found_and_confirmed(self):
         fam = [(bd.ball(0.3, 2), bd.ball(2.0, 2)),
                (bd.ball(0.5, 2), bd.ball(1.0, 2))]
