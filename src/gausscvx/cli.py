@@ -14,7 +14,8 @@ Exit codes: 0 = pass, 1 = a verified violation, 2 = usage error (an
 unknown check, a malformed body string or config file, a setting below
 its least value or not finite, ``--rule-size 1``, a pair of bodies of
 different dimension, and help or output to a closed stdout or stderr
-included), 3 = numerical failure, 4 = internal error (any other
+included), 3 = numerical failure (a concavity check whose path measure
+rounds to 0 or 1 included), 4 = internal error (any other
 exception; its traceback goes to stderr).  ``verify`` runs one row of
 ``CHECKS`` and maps its verdict through ``VERDICT_EXIT``: pass -> 0,
 violation -> 1, inconclusive -> 3 (a concavity check whose error budget

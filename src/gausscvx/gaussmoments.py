@@ -43,9 +43,10 @@ normalize; ``measure`` is gamma(K) over a fresh sample.
 
 ``path_measures`` gives gamma and its err along a Minkowski path
 (1 - t) K + t L.  When L is a dilate cK, rho_{K_t} = (1 - t + t c) rho_K
-exactly, so K is sampled once and each t is one J_{n-1} row on the scaled
-rho (``PolarSample.scaled_measure``), summed like any integral; other
-pairs sample each ``bd.interpolate`` body.
+exactly, so K is sampled once and each t is one kernel call J_{n-1} on
+K's distinct radii, scaled, gathered back to the rule's points and summed
+like any integral (``PolarSample.scaled_measure``); other pairs sample
+each ``bd.interpolate`` body.
 
 ``first_variation`` integrates on the same table:
 d/d eps gamma(K + eps L) at 0+ is the polar integral of
@@ -239,6 +240,10 @@ def sphere_rule(n: int, size: int | None = None) -> SphereRule:
     pts = bd.direction_grid(n, size)
     weight = bd.sphere_area(n) / len(pts)
     if n == 4:
+        # one point has a standard deviation of 0, so its err would be too
+        if len(pts) < 2:
+            raise bd.BodyError(f"the n=4 Monte Carlo rule needs at least 2 points, "
+                               f"got {len(pts)}")
         return SphereRule(n, len(pts), pts, weight, None)
     # n=2 must re-sample rather than take points[::2]: that subset is a
     # quarter-period-shifted midpoint rule whose leading Fourier error mode
@@ -264,12 +269,19 @@ class PolarSample:
     come from the recurrence, so an integral can move in its last bits
     with the degree of the table it meets; every entry is within 2e-15
     relative of J either way.
+
+    The sorted distinct values of rho and the inverse that gathers them
+    back to the rule's points are found on the first ``scaled_measure``
+    call and kept: a round body's sample repeats its radii (a ball's has
+    at most 4 distinct values on the n = 3 rule), so each dilate costs one
+    kernel call on the distinct radii only.
     """
 
     K: bd.SupportBody
     rule: SphereRule
     rho: np.ndarray
     _J: np.ndarray | None = field(default=None, init=False, repr=False)
+    _radii: tuple | None = field(default=None, init=False, repr=False)
     _cols: RayColumns = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -331,8 +343,20 @@ class PolarSample:
 
     def scaled_measure(self, c: float) -> tuple[float, float]:
         """gamma(cK), c > 0, and its err: ``integrals`` of 1 on rho_{cK} =
-        c rho_K bit for bit, from the one kernel row J_{n-1}(c rho)."""
-        value, err = self._sums(sf.j_lower(self.K.n - 1, c * self.rho))
+        c rho_K, from one kernel call J_{n-1}(c r) on the distinct radii r
+        of rho, gathered back to the rule's points.
+
+        The series' term count comes from the largest argument, which the
+        distinct radii share with rho, so the row is bit for bit the one
+        on c rho whenever there are more than ``specfun._LOOP_MAX`` distinct
+        radii.  With fewer (a ball) the kernel runs on the float carrier,
+        whose entries can differ from the array carrier's by an ulp; the
+        sums then move by up to about 1e-15 relative.
+        """
+        if self._radii is None:
+            self._radii = np.unique(self.rho, return_inverse=True)
+        radii, inverse = self._radii
+        value, err = self._sums(sf.j_lower(self.K.n - 1, c * radii)[inverse])
         return float(value), float(err)
 
 

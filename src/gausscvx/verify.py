@@ -255,10 +255,16 @@ def concavity_check(transform, K: bd.SupportBody, L: bd.SupportBody,
 
     verdict "violation" requires a second difference above 5x the budget;
     "concave_within_tol" requires all of them at or below the budget.
+    A path measure that rounds to 0 or 1 leaves the transforms' domain
+    (0, 1): it raises ``VerificationError``, a numerical failure, before
+    any transform sees it.
     """
     tr = measure_transform(transform, K.n)
     t = _uniform_grid(n_t)
     a, aerr = gm.path_measures(K, L, t, rule)
+    if not np.all((a > 0.0) & (a < 1.0)):
+        raise VerificationError(
+            f"a path measure rounds to 0 or 1 (min {a.min():.17g}, max {a.max():.17g})")
     F, d2, budget = _second_diffs(t, a, aerr, tr)
     return ConcavityReport(
         transform=tr.name, pair=(K.label, L.label), t_grid=t,

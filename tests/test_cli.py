@@ -354,6 +354,18 @@ class TestVerifyCommand:
         assert code == 3
         assert "second-moment margin" in err
 
+    @pytest.mark.parametrize("check, body", [("ehrhard", "ball:R=40"),
+                                             ("conjecture", "ball:R=40"),
+                                             ("weak", "ball:R=12")])
+    def test_measure_rounding_to_one_is_numerical_failure(self, check, body, capsys,
+                                                          tmp_path):
+        # gamma rounds to 1 along the whole path, outside every transform's
+        # domain (0, 1); this exited 2 with the transform's DomainError
+        code, out, err = run(["verify", "--check", check, "--n", "2", "--body", body,
+                              "--t-points", "9", "--out-dir", str(tmp_path)], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:") and out == ""
+
     def test_inconclusive_concavity_exits_three(self, capsys, tmp_path, monkeypatch):
         # no shipped pair is known to leave the budget undecided, so stub a
         # report whose largest second difference is 2 budgets
@@ -495,6 +507,9 @@ class TestUsageErrors:
         # --t-points 5 exited 3 and --tol -1 ran with the default tolerance
         ["measure", "--n", "2", "--body", "ball:R=1", "--rule-size", "1"],
         ["measure", "--n", "2", "--body", "ball:R=1", "--rule-size", "-3"],
+        # a one-point n = 4 Monte Carlo rule reported 0.09105 +- 1e-13 on a
+        # box of measure 0.19161: one point has a standard deviation of 0
+        ["measure", "--n", "4", "--body", "box:a=0.7+0.9+1.1+1.3", "--rule-size", "1"],
         ["cylinder-table", "--n", "2", "--grid", "-1"],
         ["cylinder-table", "--config", "grid.cfg"],  # grid.cfg holds grid = -1
         ["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=1",
@@ -631,6 +646,21 @@ class TestInternalErrors:
             code = cli.main([command, "--n", str(n), "--rule-size", "64", "--grid", "9",
                              "--out-dir", tmp])
         assert code in (0, 2, 3), (command, n, err.getvalue())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(max_size=24).filter(lambda name: name not in cli.CHECKS))
+    def test_fuzzed_check_names_are_usage_errors(self, name):
+        # the parser refuses any name outside CHECKS before a check runs
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--check", name])
+        assert code == 2, (name, err.getvalue())
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("name", sorted(cli.CHECKS))
+    def test_every_check_name_parses(self, name):
+        args = cli.build_parser().parse_args(["verify", "--check", name])
+        assert args.check == name and args.func is cli.cmd_verify
 
     # per numeric setting: a command that reads it, the values drawn, the
     # least value the CLI accepts

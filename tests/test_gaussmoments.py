@@ -492,6 +492,50 @@ class TestPathSamples:
         vf.concavity_check("power:1", K, bd.cylinder(1, 1.0, 3), n_t=9)
         assert len(calls) == 9
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_distinct_radius_rows_equal_full_kernel_rows(self, n):
+        # the kernel on K's distinct radii, gathered back to the rule's
+        # points, is the kernel on all of c rho bit for bit once there are
+        # more than specfun._LOOP_MAX distinct radii (the ball has fewer);
+        # in n = 3 also a strip with infinite rays on the 255-point rule,
+        # and every body on the default rule
+        cases = [(K, gm.sphere_rule(n, 256)) for K in _dilate_bases(n)[1:]]
+        if n == 3:
+            cases.append((bd.offset_box([np.inf, np.inf, 0.0], 0.8), gm.sphere_rule(3, 255)))
+            cases += [(K, gm.sphere_rule(3)) for K in _dilate_bases(3)[1:]]
+        for K, rule in cases:
+            sample = gm.polar_sample(K, rule)
+            assert len(np.unique(sample.rho)) > sf._LOOP_MAX, K.label
+            for c in (0.5, *(1.0 + 0.5 * PATH_T), 2.75):
+                value, err = sample._sums(sf.j_lower(n - 1, c * sample.rho))
+                assert sample.scaled_measure(c) == (float(value), float(err)), (K.label, c)
+
+    def test_ball_rows_close_to_full_kernel_rows(self):
+        # a ball's few distinct radii go to the kernel's float carrier,
+        # whose entries can differ from the array carrier's by an ulp; the
+        # pairwise sums of 3,072 to 16,384 points add their own rounding
+        # (worst 8.2e-16 relative on this sweep)
+        for n in (2, 3, 4):
+            for R in np.geomspace(0.05, 12.0, 23):
+                sample = gm.polar_sample(bd.ball(float(R), n))
+                assert len(np.unique(sample.rho)) <= sf._LOOP_MAX
+                for c in np.linspace(0.5, 2.5, 15):
+                    value, err = sample._sums(sf.j_lower(n - 1, c * sample.rho))
+                    got_value, got_err = sample.scaled_measure(float(c))
+                    assert got_value == pytest.approx(value, rel=1e-15, abs=0), (n, R, c)
+                    assert got_err == pytest.approx(err, rel=0, abs=1e-15 * value), (n, R, c)
+
+    def test_one_kernel_call_per_t_on_distinct_radii(self, monkeypatch):
+        # default n = 3 rule: a ball's 12,288 points hold at most 4 radii
+        calls = counting(monkeypatch, sf, "j_lower")
+        ball, cylinder = bd.ball(0.9, 3), bd.cylinder(2, 0.8, 3)
+        assert len(np.unique(gm.polar_sample(ball).rho)) <= 4
+        for K in (ball, cylinder):
+            calls.clear()
+            gm.path_measures(K, bd.dilate(K, 1.5), PATH_T)
+            distinct = len(np.unique(gm.polar_sample(K).rho))
+            assert [len(args[1]) for args in calls] == [distinct] * len(PATH_T), K.label
+
 
 def _first_variation(K, L):
     return gm.first_variation(gm.polar_sample(K), L)
