@@ -90,6 +90,18 @@ def _rows(theta, n: int) -> tuple[np.ndarray, bool]:
     return t, False
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of the 2-D array x: the squared columns
+    summed in order, then the square root.  This is the order in which
+    ``np.linalg.norm(x, axis=1)`` sums a row of up to 7 entries, so the
+    result is bit for bit the same, without the per-row reduction."""
+    sq = x * x
+    out = sq[:, 0]
+    for j in range(1, x.shape[1]):
+        out = out + sq[:, j]
+    return np.sqrt(out)
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -103,8 +115,8 @@ def offset_box(b, s: float) -> SupportBody:
     b, s = tuple(map(float, b)), float(s)
     fin = [math.isfinite(x) for x in b]
     bf = [x for x, f in zip(b, fin) if f]
-    if not (s >= 0 and all(x >= 0 for x in b) and bf and min(bf) + s > 0):
-        raise BodyError("need b >= 0 with a finite entry, s >= 0 and min(b) + s > 0")
+    if not (0 <= s < math.inf and all(x >= 0 for x in b) and bf and min(bf) + s > 0):
+        raise BodyError("need b >= 0 with a finite entry, 0 <= s < inf and min(b) + s > 0")
     if len(bf) == 1:  # one finite coordinate: the strip of half-width b_1 + s
         b, s, bf = tuple(0.0 if f else x for x, f in zip(b, fin)), bf[0] + s, [0.0]
     n, k = len(b), len(bf)
@@ -135,7 +147,7 @@ def offset_box(b, s: float) -> SupportBody:
             with np.errstate(divide="ignore"):
                 return np.min(np.where(a > 0, bf / np.maximum(a, 1e-300), np.inf), axis=1)
         if not boxed:
-            head = np.linalg.norm(a, axis=1)
+            head = _row_norms(a)
             with np.errstate(divide="ignore"):
                 return np.where(head > 0, s / np.maximum(head, 1e-300), np.inf)
         return _breakpoint_root(a, bf, s)
@@ -193,13 +205,19 @@ def round_cylinder(K: SupportBody) -> tuple[int, float] | None:
     return (len(fin), s) if s > 0 and not any(fin) else None
 
 
+def _size(key: str, value: float) -> float:
+    """value if 0 < value < inf, else BodyError naming the parameter: an
+    infinite radius or width makes the body all of R^n."""
+    if not 0 < value < math.inf:
+        raise BodyError(f"parameter {key!r} must be positive and finite, got {value!r}")
+    return value
+
+
 def cylinder(k: int, R: float, n: int) -> SupportBody:
     """Round k-cylinder {|(x_1..x_k)| <= R} in R^n (k=n: ball, k=1: strip)."""
     if not 1 <= k <= n:
         raise BodyError("need 1 <= k <= n")
-    if not R > 0:
-        raise BodyError("R must be positive")
-    return offset_box([0.0] * k + [np.inf] * (n - k), R)
+    return offset_box([0.0] * k + [np.inf] * (n - k), _size("R", R))
 
 
 def ball(R: float, n: int) -> SupportBody:
@@ -207,7 +225,7 @@ def ball(R: float, n: int) -> SupportBody:
 
 
 def strip(w: float, n: int) -> SupportBody:
-    return cylinder(1, w, n)
+    return cylinder(1, _size("w", w), n)
 
 
 def box(half_widths, n: int | None = None) -> SupportBody:
@@ -220,8 +238,9 @@ def box(half_widths, n: int | None = None) -> SupportBody:
 
 
 def lp_ball(r: float, p: float, n: int) -> SupportBody:
-    if not (r > 0 and 1 <= p < np.inf):
-        raise BodyError("need r > 0 and 1 <= p < inf (p = inf is the cube: use box)")
+    _size("r", r)
+    if not 1 <= p < np.inf:
+        raise BodyError("need 1 <= p < inf (p = inf is the cube: use box)")
     q = np.inf if p == 1 else p / (p - 1.0)
 
     def support(u):
@@ -247,6 +266,9 @@ def ellipsoid(semi_axes, n: int | None = None) -> SupportBody:
         raise BodyError("ellipsoid needs one semi-axis per coordinate")
     if not np.all(c > 0):
         raise BodyError("semi-axes must be positive")
+    if not np.any(np.isfinite(c)):
+        raise BodyError("parameter 'c' needs a finite semi-axis: with none the "
+                        "ellipsoid is all of R^n")
     n = len(c)
 
     def support(u):
@@ -347,7 +369,7 @@ def _translate_radial(body: SupportBody, v: np.ndarray):
 
         def gauge_minus_one(rows, t_arr):
             x = t_arr[:, None] * rays[rows] - v
-            r = np.linalg.norm(x, axis=1)[:, None]
+            r = _row_norms(x)[:, None]
             dirs = np.where(r > 0, x / np.maximum(r, 1e-300), rays[rows])
             return r[:, 0] / np.asarray(core(dirs), dtype=float) - 1.0
 
@@ -449,7 +471,7 @@ def direction_grid(n: int, size: int | None = None) -> np.ndarray:
     if n == 4:
         rng = np.random.Generator(np.random.Philox(_MC_GRID_SEED))
         x = rng.standard_normal((size, 4))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
+        return x / _row_norms(x)[:, None]
 
 
 def sphere_area(n: int) -> float:
@@ -494,7 +516,7 @@ def _refine(f, u: np.ndarray, delta: float) -> np.ndarray:
         a0 = np.arctan2(u[:, 1], u[:, 0])
         g = lambda a: f(np.column_stack([np.cos(a), np.sin(a)]))
         return _golden_min(g, a0 - delta, a0 + delta, 40)[0]
-    unit = lambda v: v / np.linalg.norm(v, axis=1)[:, None]
+    unit = lambda v: v / _row_norms(v)[:, None]
     best = f(u)
     for _ in range(3):
         for d in np.moveaxis(tangent_bases(u), 1, 0):
@@ -565,14 +587,14 @@ def tangent_bases(u: np.ndarray) -> np.ndarray:
         w[rows, i] += 1.0
         for k in range(j):
             w -= np.sum(w * out[:, k], axis=1)[:, None] * out[:, k]
-        out[:, j] = w / np.linalg.norm(w, axis=1)[:, None]
+        out[:, j] = w / _row_norms(w)[:, None]
     return out
 
 
 def gauge(body: SupportBody, x) -> np.ndarray | float:
     """Minkowski functional ||x||_K = |x| / rho(x/|x|) (0 at the origin)."""
     xx, single = _rows(x, body.n)
-    r = np.linalg.norm(xx, axis=1)
+    r = _row_norms(xx)
     out = np.zeros(len(xx))
     pos = r > 0
     if np.any(pos):

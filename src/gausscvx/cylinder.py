@@ -49,8 +49,10 @@ quadrature.  That term is 1/n^2 times one fixed integrand, which
 panels in s and -log(1 - s); it integrates F in u = t^{1/n}, which absorbs
 the t^{-(n-1)/n} blow-up at 0, and in -log(1 - t).
 
-Each transform is an object with a ``name``, a call F(a) and a
-``slope(a)`` = F'(a).  ``conjecture_transform(n)``, ``weak_transform(n)``
+Each transform is an object with a ``name``, a call F(a), a
+``slope(a)`` = F'(a) and ``value_and_slope(a)`` = (F(a), F'(a)), which a
+concavity check calls once: a ``PiecewiseRadius`` then inverts R_k once
+per measure for both.  ``conjecture_transform(n)``, ``weak_transform(n)``
 and ``bad_transform(n)`` build ``conjecture_F``, ``weak_F`` and
 ``bad_func`` once per n and return the same object after that.
 """
@@ -263,7 +265,8 @@ class PiecewiseRadius:
     """F(a) = beta_k R_k(a) + alpha_k, with k = ks[i] on the i-th piece.
 
     ``breaks`` cut (0,1) into the pieces; a break belongs to the piece on
-    its right.  Since R_k' = 1/s_k, the slope is beta_k / s_k(a).
+    its right.  Since R_k' = 1/s_k, the slope is beta_k / s_k(a), and s_k
+    comes from the same radius R_k(a) as F.
     """
 
     name: str
@@ -272,24 +275,28 @@ class PiecewiseRadius:
     betas: tuple[float, ...]
     alphas: tuple[float, ...]
 
-    def _on_pieces(self, a, piece):
+    def value_and_slope(self, a):
+        """(F(a), F'(a)) from one R_k inversion per measure; pieces that
+        hold no measure cost nothing."""
         aa = np.asarray(a, dtype=float)
         flat = np.atleast_1d(aa)
         idx = np.searchsorted(self.breaks, flat, side="right")
-        out = np.empty(flat.shape)
+        F, slope = np.empty(flat.shape), np.empty(flat.shape)
         for i, k in enumerate(self.ks):
             on = idx == i
-            out[on] = piece(i, k, flat[on])
-        return float(out[0]) if aa.ndim == 0 else out
+            if on.any():
+                R = radius_of_measure(k, flat[on])
+                F[on] = self.betas[i] * R + self.alphas[i]
+                slope[on] = self.betas[i] / _s_at(k, R)
+        if aa.ndim == 0:
+            return float(F[0]), float(slope[0])
+        return F, slope
 
     def __call__(self, a):
-        def piece(i, k, x):
-            return self.betas[i] * radius_of_measure(k, x) + self.alphas[i]
-
-        return self._on_pieces(a, piece)
+        return self.value_and_slope(a)[0]
 
     def slope(self, a):
-        return self._on_pieces(a, lambda i, k, x: self.betas[i] / perimeter_s(k, x))
+        return self.value_and_slope(a)[1]
 
 
 def _glued_radius(name: str, crossings, k_first: int,
@@ -435,6 +442,10 @@ class ExpIntegralTransform:
             integral[hi] = self._I_tail(-np.log1p(-aa[hi]))
         out = self._exp_W(aa, integral)
         return float(out[0]) if scalar else out
+
+    def value_and_slope(self, a) -> tuple:
+        """(F(a), F'(a)): the call and ``slope``, which share no work."""
+        return self(a), self.slope(a)
 
 
 @lru_cache(maxsize=None)

@@ -45,8 +45,10 @@ normalize; ``measure`` is gamma(K) over a fresh sample.
 (1 - t) K + t L.  When L is a dilate cK, rho_{K_t} = (1 - t + t c) rho_K
 exactly, so K is sampled once and each t is one kernel call J_{n-1} on
 K's distinct radii, scaled, gathered back to the rule's points and summed
-like any integral (``PolarSample.scaled_measure``); other pairs sample
-each ``bd.interpolate`` body.
+like any integral (``PolarSample.scaled_measure``); a sample whose radii
+are all distinct skips the gather.  A value sort and a binary search
+map a round body's few radii to the points, without the argsort that
+more radii need.  Other pairs sample each ``bd.interpolate`` body.
 
 ``first_variation`` integrates on the same table:
 d/d eps gamma(K + eps L) at 0+ is the polar integral of
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -272,16 +274,18 @@ class PolarSample:
 
     The sorted distinct values of rho and the inverse that gathers them
     back to the rule's points are found on the first ``scaled_measure``
-    call and kept: a round body's sample repeats its radii (a ball's has
-    at most 4 distinct values on the n = 3 rule), so each dilate costs one
-    kernel call on the distinct radii only.
+    call and kept (``_radius_map``): a round body's sample repeats its
+    radii (a ball's has at most 4 distinct values on the n = 3 rule), so
+    each dilate costs one kernel call on the distinct radii only.  A
+    round body's few radii come from a value sort and a binary search,
+    more from an argsort of rho, and a sample whose radii are all distinct
+    keeps no map.
     """
 
     K: bd.SupportBody
     rule: SphereRule
     rho: np.ndarray
     _J: np.ndarray | None = field(default=None, init=False, repr=False)
-    _radii: tuple | None = field(default=None, init=False, repr=False)
     _cols: RayColumns = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -341,10 +345,36 @@ class PolarSample:
         a, *ints = self.integrals(RayPolynomial.constant(1.0), *fs)
         return a, [i.over(a) for i in ints]
 
+    @cached_property
+    def _radius_map(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(sorted distinct radii, the index of each point's radius among
+        them), or None when every radius is distinct.
+
+        When the first ``specfun._LOOP_MAX`` + 1 points repeat a radius, as
+        a round body's do, a value sort finds the radii and, if there are
+        at most ``_LOOP_MAX`` of them, a binary search maps the points to
+        them: together a fraction of the argsort in ``np.unique(rho,
+        return_inverse=True)``, which is at its slowest on a few repeated
+        values.  More radii take that argsort, and so does a sample whose
+        first points are all distinct, which has more than ``_LOOP_MAX``
+        radii: a binary search into many radii costs more than the argsort.
+        """
+        rho = self.rho
+        if len(set(rho[:sf._LOOP_MAX + 1].tolist())) <= sf._LOOP_MAX:
+            # np.unique(rho) would import numpy.ma, about 10 ms in a fresh
+            # process (numpy 2.4, 2 CPUs)
+            ordered = np.sort(rho)
+            radii = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+            if len(radii) <= sf._LOOP_MAX:
+                return radii, np.searchsorted(radii, rho)
+        radii, inverse = np.unique(rho, return_inverse=True)
+        return None if len(radii) == len(rho) else (radii, inverse)
+
     def scaled_measure(self, c: float) -> tuple[float, float]:
         """gamma(cK), c > 0, and its err: ``integrals`` of 1 on rho_{cK} =
         c rho_K, from one kernel call J_{n-1}(c r) on the distinct radii r
-        of rho, gathered back to the rule's points.
+        of rho, gathered back to the rule's points; on c rho itself when
+        every radius is distinct.
 
         The series' term count comes from the largest argument, which the
         distinct radii share with rho, so the row is bit for bit the one
@@ -353,10 +383,12 @@ class PolarSample:
         whose entries can differ from the array carrier's by an ulp; the
         sums then move by up to about 1e-15 relative.
         """
-        if self._radii is None:
-            self._radii = np.unique(self.rho, return_inverse=True)
-        radii, inverse = self._radii
-        value, err = self._sums(sf.j_lower(self.K.n - 1, c * radii)[inverse])
+        if self._radius_map is None:
+            row = sf.j_lower(self.K.n - 1, c * self.rho)
+        else:
+            radii, inverse = self._radius_map
+            row = sf.j_lower(self.K.n - 1, c * radii)[inverse]
+        value, err = self._sums(row)
         return float(value), float(err)
 
 

@@ -181,8 +181,8 @@ def _gauge_slope_sq(K: bd.SupportBody, pts: np.ndarray, rho: np.ndarray, h: floa
     for axis in range(K.n - 1):
         plus = pts + h * tangents[:, axis]
         minus = pts - h * tangents[:, axis]
-        plus /= np.linalg.norm(plus, axis=1, keepdims=True)
-        minus /= np.linalg.norm(minus, axis=1, keepdims=True)
+        plus /= bd._row_norms(plus)[:, None]
+        minus /= bd._row_norms(minus)[:, None]
         qp = _inverse_radial(np.asarray(bd.radial(K, plus), dtype=float))
         qm = _inverse_radial(np.asarray(bd.radial(K, minus), dtype=float))
         grad2 += ((qp - qm) / (2.0 * h)) ** 2

@@ -135,14 +135,23 @@ def random_even_quartic(n: int, rng: np.random.Generator,
 @dataclass(frozen=True)
 class MeasureTransform:
     """A closed-form C^1 increasing reparametrization a -> F(a) of measures
-    in (0,1): called for F, ``slope`` for F'."""
+    in (0,1): called for F, ``slope`` for F', ``value_and_slope`` for both.
+    ``slope_at(a, F)`` is F'(a) given F = F(a), so a quantile transform
+    takes its quantile once for both."""
 
     name: str
     fn: "callable"
-    slope: "callable"
+    slope_at: "callable"
 
     def __call__(self, a):
         return self.fn(a)
+
+    def slope(self, a):
+        return self.value_and_slope(a)[1]
+
+    def value_and_slope(self, a):
+        F = self.fn(a)
+        return F, self.slope_at(a, F)
 
 
 def _power_transform(p: float) -> MeasureTransform:
@@ -150,24 +159,24 @@ def _power_transform(p: float) -> MeasureTransform:
     if p == 0.0:
         return MeasureTransform(
             "power:0", lambda a: np.log(np.asarray(a, dtype=float)),
-            lambda a: 1.0 / np.asarray(a, dtype=float))
+            lambda a, F: 1.0 / np.asarray(a, dtype=float))
     s = 1.0 if p > 0 else -1.0
     return MeasureTransform(
         f"power:{p:g}",
         lambda a: s * np.asarray(a, dtype=float) ** p,
-        lambda a: abs(p) * np.asarray(a, dtype=float) ** (p - 1.0))
+        lambda a, F: abs(p) * np.asarray(a, dtype=float) ** (p - 1.0))
 
 
 def _psi_inv_transform(n: int) -> MeasureTransform:
     return MeasureTransform(
         "psi_inv", sf.psi_inv,
-        lambda a: np.sqrt(2.0 * np.pi) * np.exp(sf.psi_inv(a) ** 2 / 2.0))
+        lambda a, F: np.sqrt(2.0 * np.pi) * np.exp(F ** 2 / 2.0))
 
 
 def _phi_inv_transform(n: int) -> MeasureTransform:
     return MeasureTransform(
         "phi_inv", sf.phi_inv,
-        lambda a: np.sqrt(np.pi / 2.0) * np.exp(sf.phi_inv(a) ** 2 / 2.0))
+        lambda a, F: np.sqrt(np.pi / 2.0) * np.exp(F ** 2 / 2.0))
 
 
 # transform name -> builder in dimension n; ``power:<p>`` is parsed apart
@@ -179,7 +188,8 @@ TRANSFORMS = {"psi_inv": _psi_inv_transform, "phi_inv": _phi_inv_transform,
 def measure_transform(spec, n: int):
     """The transform named ``spec`` in dimension n: a ``TRANSFORMS`` name or
     ``power:<p>``.  Any other object is taken to be a transform already (a
-    ``name``, a call and a ``slope``) and returned unchanged.
+    ``name``, a call, a ``slope`` and a ``value_and_slope``) and returned
+    unchanged.
     """
     if not isinstance(spec, str):
         return spec
@@ -227,8 +237,8 @@ def _uniform_grid(n_t: int) -> np.ndarray:
 
 
 def _second_diffs(t, a, aerr, tr):
-    F = np.asarray(tr(a), dtype=float)
-    slope = np.abs(np.asarray(tr.slope(a), dtype=float))
+    F, slope = tr.value_and_slope(a)
+    F, slope = np.asarray(F, dtype=float), np.abs(np.asarray(slope, dtype=float))
     dt = float(t[1] - t[0])
     d2 = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / dt**2
     node = aerr * slope

@@ -539,6 +539,23 @@ class TestExactRadials:
         np.testing.assert_allclose(got, [1.5, 0.0, 0.0, np.hypot(1.25, 0.5)], rtol=1e-15)
 
 
+class TestRowNorms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bit_for_bit_linalg_norm(self, n):
+        # the rule points, scaled rows of very unlike size, rows holding 0
+        # and inf, and views that are not contiguous
+        rng = np.random.default_rng(70 + n)
+        wide = rng.normal(size=(500, n)) * np.exp(5.0 * rng.normal(size=(500, n)))
+        special = np.array([[0.0] * n, [np.inf] + [1.0] * (n - 1), [-np.inf] * n,
+                            [0.0] * (n - 1) + [-2.5]])
+        grids = [bd.direction_grid(n), bd.direction_grid(n, 255), wide, special]
+        for x in grids:
+            for view in (x, np.asfortranarray(x), np.hstack([x, x])[::2, ::2],
+                         x[::-1, ::-1]):
+                got = bd._row_norms(view)
+                assert np.array_equal(got, np.linalg.norm(view, axis=1)), view.shape
+
+
 class TestTangentBases:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orthonormal_tangent_and_equal_to_rowwise(self, n):

@@ -464,6 +464,35 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err and out == ""
 
+    @pytest.mark.parametrize("body,key", [
+        ("ball:R=inf", "'R'"), ("strip:w=inf", "'w'"), ("cylinder:k=1,R=inf", "'R'"),
+        ("cylinder:k=2,R=inf,n=3", "'R'"), ("lp_ball:r=inf,p=2", "'r'"),
+        ("ellipsoid:c=inf+inf", "'c'"), ("strip:w=-0.5", "'w'"), ("ball:R=0", "'R'")])
+    def test_size_that_is_all_of_space_or_not_positive_is_usage_error(
+            self, body, key, capsys, tmp_path):
+        # an infinite radius, width or every semi-axis makes the body all of
+        # R^n; these used to measure 1 with exit 0, and strip:w=-0.5 blamed R
+        code, out, err = run(["measure", "--n", "2", "--body", body,
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert key in err and out == ""
+
+    def test_all_infinite_box_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(["measure", "--n", "2", "--body", "box:a=inf+inf",
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "finite entry" in err and out == ""
+
+    @pytest.mark.parametrize("body", ["box:a=inf+1", "ellipsoid:c=inf+1"])
+    def test_some_free_coordinates_stay_valid(self, body, capsys, tmp_path):
+        # free in x_1, bounded in x_2: the strip |x_2| <= 1
+        code, out, _ = run(["measure", "--n", "2", "--body", body,
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["value"] == pytest.approx(math.erf(1.0 / math.sqrt(2)),
+                                             abs=3 * rep["err"] + 1e-9)
+
     def test_infinite_box_half_width_measures_the_strip(self, capsys, tmp_path):
         code, out, _ = run(["measure", "--n", "2", "--body", "box:a=0.5+inf",
                             "--out-dir", str(tmp_path)], capsys)

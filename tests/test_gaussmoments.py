@@ -1,6 +1,10 @@
 """Moment layer: polar quadrature vs closed forms, error-bound honesty, MC."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from gausscvx import verify as vf
 
 import oracles
 
+ROOT = Path(__file__).resolve().parents[1]
 
 CLOSED_MEASURE_CASES = [
     (lambda: bd.ball(1.1, 2), lambda: oracles.ball_measure(1.1, 2)),
@@ -524,6 +529,65 @@ class TestPathSamples:
                     got_value, got_err = sample.scaled_measure(float(c))
                     assert got_value == pytest.approx(value, rel=1e-15, abs=0), (n, R, c)
                     assert got_err == pytest.approx(err, rel=0, abs=1e-15 * value), (n, R, c)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_distinct_radius_map_gathers_unique_rows(self, n):
+        # the map's radii and the rows it gathers equal those of
+        # np.unique(rho, return_inverse=True), on the default rules and on
+        # 255/256-point rules; a sample whose radii are all distinct keeps
+        # no map, and its kernel rows are the kernel on c rho itself
+        bodies = [bd.ball(0.9, n), bd.strip(0.7, n), bd.cylinder(2, 0.8, n),
+                  bd.cylinder(n - 1, 0.6, n), bd.box([0.8 + 0.1 * i for i in range(n)], n),
+                  bd.ellipsoid([0.7 + 0.3 * i for i in range(n)], n),
+                  bd.lp_ball(1.0, 3.0, n)]
+        cases = [(K, gm.sphere_rule(n, size)) for K in bodies for size in (None, 255, 256)]
+        if n == 3:
+            cases.append((bd.offset_box([np.inf, np.inf, 0.0], 0.8), gm.sphere_rule(3, 255)))
+        routes = set()
+        for K, rule in cases:
+            sample = gm.polar_sample(K, rule)
+            radii, inverse = np.unique(sample.rho, return_inverse=True)
+            found = sample._radius_map
+            if len(radii) == len(sample.rho):
+                assert found is None, K.label
+                routes.add("none")
+            else:
+                assert np.array_equal(found[0], radii), K.label
+                assert np.array_equal(found[0][found[1]], radii[inverse]), K.label
+                routes.add("few" if len(radii) <= sf._LOOP_MAX else "many")
+            for c in (0.5, 1.7):
+                row = sf.j_lower(n - 1, c * radii)[inverse]
+                got = (sf.j_lower(n - 1, c * sample.rho) if found is None
+                       else sf.j_lower(n - 1, c * found[0])[found[1]])
+                assert np.array_equal(got, row), (K.label, c)
+        # the n = 2 rule holds antipodal points, so no symmetric body's
+        # radii are all distinct; the n = 4 Monte Carlo directions repeat
+        # a radius only on the ball
+        assert routes == {2: {"few", "many"}, 3: {"none", "few", "many"},
+                          4: {"none", "few"}}[n]
+
+    def test_distinct_radius_map_when_the_head_repeats_a_radius(self):
+        # a sample whose first points share a radius but which holds many
+        # radii takes the value sort and then the argsort
+        K, rule = bd.ball(1.0, 2), gm.sphere_rule(2, 256)
+        rho = np.r_[np.full(sf._LOOP_MAX + 1, 0.9), np.linspace(0.5, 1.5, 40),
+                    np.full(rule.points.shape[0] - sf._LOOP_MAX - 41, 1.1)]
+        radii, inverse = np.unique(rho, return_inverse=True)
+        found = gm.PolarSample(K, rule, rho)._radius_map
+        assert len(radii) > sf._LOOP_MAX
+        assert np.array_equal(found[0], radii) and np.array_equal(found[1], inverse)
+
+    def test_ball_dilate_path_imports_no_masked_arrays(self):
+        # np.unique without an inverse imports numpy.ma, whose cold import
+        # would land on every fresh process that checks a ball's dilates
+        code = ("import sys\n"
+                "from gausscvx import body as bd, verify as vf\n"
+                "vf.concavity_check('conjecture_F', bd.ball(0.8, 3), bd.ball(1.2, 3), n_t=9)\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_one_kernel_call_per_t_on_distinct_radii(self, monkeypatch):
         # default n = 3 rule: a ball's 12,288 points hold at most 4 radii

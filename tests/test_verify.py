@@ -273,6 +273,53 @@ class TestTransformProtocol:
             assert vf.measure_transform(name, 2).name == name
 
 
+def _straddling_grids(tr):
+    """Measure grids for ``value_and_slope``: every break with its two
+    neighbouring doubles, a spread over (0, 1), and a grid inside one piece
+    of a piecewise transform, which leaves its other pieces without a point."""
+    breaks = np.asarray(getattr(tr, "breaks", ()), dtype=float)
+    near = np.concatenate([breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0)])
+    spread = np.concatenate([[1e-9, 1e-6], np.linspace(0.01, 0.99, 40), [1 - 1e-6, 1 - 1e-9]])
+    return [np.sort(np.concatenate([near, spread])), np.linspace(0.3, 0.35, 20),
+            near, np.array([0.42])]
+
+
+class TestValueAndSlope:
+    @pytest.mark.parametrize("spec", [*vf.TRANSFORMS, "power:-1", "power:0",
+                                      "power:0.5", "power:2"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_call_and_slope_bit_for_bit(self, spec, n):
+        tr = vf.measure_transform(spec, n)
+        for a in (*PINNED_A, *getattr(tr, "breaks", ())):
+            assert tr.value_and_slope(a) == (tr(a), tr.slope(a)), (spec, n, a)
+        for grid in _straddling_grids(tr):
+            F, slope = tr.value_and_slope(grid)
+            assert np.array_equal(F, tr(grid)), (spec, n)
+            assert np.array_equal(slope, tr.slope(grid)), (spec, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_radius_inversion_per_piece_with_measures(self, n, monkeypatch):
+        # a conjecture_F concavity check inverts R_k once per piece that
+        # holds path measures, for F and F' together, and never on a piece
+        # without one; the ball paths stay on one piece or cross the break
+        tr = cyl.conjecture_transform(n)
+        calls = []
+        inverse = cyl.radius_of_measure
+
+        def counted(k, a):
+            calls.append((k, np.size(a)))
+            return inverse(k, a)
+
+        monkeypatch.setattr(cyl, "radius_of_measure", counted)
+        for r1, r2 in ((0.7, 1.5), (2.6, 3.6)):
+            calls.clear()
+            rep = vf.concavity_check("conjecture_F", bd.ball(r1, n), bd.ball(r2, n), n_t=9)
+            pieces = np.unique(np.searchsorted(tr.breaks, rep.measures, side="right"))
+            assert [k for k, _ in calls] == [tr.ks[i] for i in pieces], (r1, r2)
+            assert sum(size for _, size in calls) == len(rep.measures)
+        assert len(pieces) == 2
+
+
 class TestConcavityCheck:
     def test_gaussian_interpolation_concave_quantile(self):
         K = bd.ball(0.7, 2)
