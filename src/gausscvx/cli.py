@@ -13,8 +13,8 @@ plot            self-contained SVG line charts of the profile functions
 Exit codes: 0 = pass, 1 = a verified violation, 2 = usage error (an
 unknown check, a malformed body string or config file, a setting below
 its least value or not finite, ``--rule-size 1``, a pair of bodies of
-different dimension, and help or output to a closed stdout or stderr
-included), 3 = numerical failure (a concavity check whose path measure
+different dimension, a body without the in-radius a command needs, and
+help or output to a closed stdout or stderr included), 3 = numerical failure (a concavity check whose path measure
 rounds to 0 or 1 included), 4 = internal error (any other
 exception; its traceback goes to stderr).  ``verify`` runs one row of
 ``CHECKS`` and maps its verdict through ``VERDICT_EXIT``: pass -> 0,
@@ -299,6 +299,17 @@ def _svg_line_chart(path: Path, x: np.ndarray, curves, title: str,
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+def _percentile(x: np.ndarray, q: float) -> float:
+    """np.percentile(x, q) with its linear interpolation, from a partition
+    (np.percentile's index dedup would import numpy.ma, ~10 ms a process)."""
+    v = (len(x) - 1) * (q / 100.0)
+    lo = min(int(v), len(x) - 2)
+    x0, x1 = np.partition(x, [lo, lo + 1])[lo:lo + 2]
+    g, step = v - lo, x1 - x0
+    # numpy interpolates from the nearer neighbour
+    return float(x1 - step * (1.0 - g) if g >= 0.5 else x0 + step * g)
+
+
 def cmd_plot(cfg: RunConfig, args) -> int:
     if cfg.n < 2:
         raise bd.BodyError("figures need n >= 2")
@@ -318,7 +329,7 @@ def cmd_plot(cfg: RunConfig, args) -> int:
                 (0.0, float(max(s1.max(), s2.max())) * 1.05)),
         "phidiff": (a, [("phi1-phi2", phi1 - phi2)],
                     "difference phi_1 - phi_2",
-                    (float(np.percentile(phi1 - phi2, 1.0)),
+                    (_percentile(phi1 - phi2, 1.0),
                      float((phi1 - phi2).max()) * 1.05)),
     }
     names = list(figures) if args.figure == "all" else [args.figure]
@@ -418,12 +429,12 @@ def _check_minkowski_first(cfg: RunConfig):
 
 def _check_brascamp_lieb(cfg: RunConfig):
     K = bd.parse_body(cfg.body, cfg.n)
-    mode = "gaussian" if K.n == 1 else "gaussian_even_half"
-    if mode == "gaussian":
-        f = vf.MultiPoly.coord(K.n, 0)
+    if K.n == 1:
+        mode, f = "gaussian", vf.MultiPoly.coord(1, 0)
     else:
         last = vf.MultiPoly.coord(K.n, K.n - 1)
-        f = last * last
+        # c = 1/2 needs a symmetric K; c = 1 holds for any convex K
+        mode, f = ("gaussian_even_half" if K.symmetric else "gaussian"), last * last
     rec = vf.brascamp_lieb_check(K, f, mode, rule=_rule(cfg, K.n))
     return (rec["var"], rec["bound"], rec["slack"],
             _grade(rec["slack"], _tol(cfg, 3.0 * rec["err"] + 1e-8)), rec)

@@ -211,15 +211,44 @@ def _strict_inverse(x: np.ndarray, y: np.ndarray) -> tuple:
     return y[keep], x[keep]
 
 
-def _monotone_interp(x: np.ndarray, y: np.ndarray):
-    """Shape-preserving interpolant of a monotone table, clamped at the ends."""
-    # only the Talenti comparison interpolates, so the CLI never imports this
-    from scipy.interpolate import PchipInterpolator
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Moler's one-sided three-point end slope, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    spline = PchipInterpolator(x, y)
+
+def _monotone_interp(x: np.ndarray, y: np.ndarray):
+    """PCHIP, the shape-preserving cubic Hermite interpolant of a table
+    with x strictly increasing (Fritsch & Carlson 1980), clamped at the ends.
+
+    The slopes are scipy's ``PchipInterpolator``'s: inside, the weighted
+    harmonic mean of the two adjacent secants, 0 where they change sign or
+    one is flat; at the ends, Moler's.  The cubic is summed in powers of the
+    offset into its interval.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(len(x), m[0])
+    if len(x) > 2:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    excess = (d[:-1] + d[1:] - 2.0 * m) / h
+    c2, c3 = (m - d[:-1]) / h - excess, excess / h
 
     def f(q):
-        return spline(np.clip(q, x[0], x[-1]))
+        q = np.clip(np.asarray(q, dtype=float), x[0], x[-1])
+        i = np.minimum(np.searchsorted(x, q, side="right") - 1, len(h) - 1)
+        s = q - x[i]
+        s2 = s * s
+        return y[i] + d[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
 
     return f
 
@@ -274,6 +303,32 @@ def ehrhard_rearrange_1d(f, w1: float, w2: float, extrema=()):
     return _rearrange([(t, np.asarray(f(t), dtype=float) * np.ones_like(t)) for t in ts], a), a
 
 
+def _parabola_areas(y0, y1, y2, h0, h1):
+    """Integrals between x0 and x1 of the parabolas through (x0, y0),
+    (x1, y1), (x2, y2), with h0 = |x1 - x0| and h1 = |x2 - x1|; the three
+    points may run either way."""
+    r = h0 / (h0 + h1)
+    rr = r * (h0 / h1)
+    return h0 / 6.0 * ((3.0 - r) * y0 + (3.0 + rr + r) * y1 - rr * y2)
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integrals of the samples y(x) from x[0] to each x, 0 first.
+
+    x is strictly increasing, with at least 3 points and spacings that may
+    differ.  The points pair up from the left: each pair of intervals takes
+    the parabola through its three points, and a last interval left over
+    takes the parabola through the last three.
+    """
+    h = np.diff(x)
+    y0, y1, y2, h0, h1 = y[:-2:2], y[1:-1:2], y[2::2], h[:-1:2], h[1::2]
+    parts = np.empty(len(h))
+    parts[:-1:2] = _parabola_areas(y0, y1, y2, h0, h1)
+    parts[1::2] = _parabola_areas(y2, y1, y0, h1, h0)
+    parts[-1] = _parabola_areas(y[-1], y[-2], y[-3], h[-1], h[-2])
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
 def _grid_dirichlet_interval(w1: float, w2: float, F):
     """Dense-grid solve of u'' - t u' = -F on [-w1, w2], u = 0 at the ends."""
     t = np.linspace(-w1, w2, _SOLVE_GRID)
@@ -281,14 +336,10 @@ def _grid_dirichlet_interval(w1: float, w2: float, F):
     fvals = np.asarray(F(t), dtype=float) * np.ones_like(t)
     if fvals.min() < -1e-12:
         raise ValueError("source must be nonnegative")
-    # only the Talenti comparison solves on a grid, so the CLI never imports this
-    from scipy.integrate import cumulative_simpson, simpson
-
-    G = cumulative_simpson(fvals * weight, x=t, initial=0.0)
+    G = _cumulative_simpson(fvals * weight, t)
     growth = np.exp(t * t / 2.0)
-    C = simpson(growth * G, x=t) / simpson(growth, x=t)
-    du = growth * (C - G)
-    u = cumulative_simpson(du, x=t, initial=0.0)
+    C = _cumulative_simpson(growth * G, t)[-1] / _cumulative_simpson(growth, t)[-1]
+    u = _cumulative_simpson(growth * (C - G), t)
     return t, u, float(abs(u[-1]))
 
 
@@ -308,11 +359,8 @@ def talenti_1d(w1: float, w2: float, F, extrema=()) -> TalentiReport:
     u_star = _rearrange([(t[:peak + 1], u[:peak + 1]), (t[peak:], u[peak:])], a)
     beta = float(sf.psi_inv(a))
     s = np.linspace(min(beta, 0.0) - 14.0, beta, _SOLVE_GRID)
-    from scipy.integrate import cumulative_simpson
-
-    H = cumulative_simpson(np.asarray(f_star(s)) * np.exp(-s * s / 2.0),
-                           x=s, initial=0.0)
-    S = cumulative_simpson(np.exp(s * s / 2.0) * H, x=s, initial=0.0)
+    H = _cumulative_simpson(np.asarray(f_star(s)) * np.exp(-s * s / 2.0), s)
+    S = _cumulative_simpson(np.exp(s * s / 2.0) * H, s)
     v = S[-1] - S
 
     keep = s >= min(beta, 0.0) - 8.0

@@ -341,7 +341,7 @@ def gauss_main_bound(K: bd.SupportBody, rule: gm.SphereRule | None = None) -> di
     """
     r = bd.inradius(K)
     if r is None or not np.isfinite(r):
-        raise VerificationError("in-radius unavailable for this body")
+        raise bd.BodyError("in-radius unavailable for this body")
     a, (ex2, g2, g4) = gm.polar_sample(K, rule).means(
         gm.RayPolynomial.abs_x_power(2), gm.RayPolynomial.gauge_power(2),
         gm.RayPolynomial.gauge_power(4))

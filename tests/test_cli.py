@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from gausscvx import body as bd
 from gausscvx import cli
 from gausscvx import cylinder as cyl
 from gausscvx import specfun as sf
@@ -41,6 +42,18 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fresh_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports this package's
+    source, so no other test's imports count; its stripped stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 def csv_text(header, rows) -> str:
@@ -191,36 +204,19 @@ class TestTorsionCommand:
         assert code == 3
         assert "numerical failure" in err
 
-    def test_torsion_commands_leave_scipy_quadrature_unimported(self, tmp_path):
-        # a fresh interpreter, so that no other test's imports count
-        script = f"""
-import contextlib, io, sys
-from gausscvx import cli
-for argv in (["torsion", "--halfspace", "0.5"],
-             ["verify", "--check", "saint-venant", "--n", "2", "--body", "ball:R=1.0"],
-             ["verify", "--check", "alpha-halfspace"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0, argv
-print(sorted(m for m in sys.modules
-             if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "interpolate"])))
-"""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
-
     def test_cli_commands_leave_scipy_unimported(self, tmp_path):
-        # one command of each kind the cold-start benchmark launches, in a
-        # fresh interpreter: the kernels are in-package, so scipy stays out
+        # one command of each kind the cold-start benchmark launches, the
+        # torsion routes and the Talenti comparison, in a fresh interpreter
+        # whose import hook fails every scipy import: numpy is the one
+        # runtime dependency
         commands = [
             ["partition", "--n", "2"],
             ["cylinder-table", "--n", "3", "--grid", "9"],
             ["measure", "--body", "cylinder:k=2,R=0.9,n=3", "--mc", "1000"],
             ["torsion", "--halfspace", "0.3"],
+            ["torsion", "--halfspace", "0.5"],
             ["plot", "--n", "2", "--figure", "all"],
+            ["verify", "--check", "saint-venant", "--n", "2", "--body", "ball:R=1.0"],
             ["verify", "--check", "saint-venant", "--n", "3", "--body", "cylinder:k=2,R=0.9"],
             ["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=0.8",
              "--t-points", "9"],
@@ -237,21 +233,41 @@ print(sorted(m for m in sys.modules
             ["verify", "--check", "counterexample-bad-func", "--n", "2", "--t-points", "9"],
         ]
         script = f"""
-import contextlib, io, sys
+import contextlib, importlib.abc, io, sys, types
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    tried = []
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            self.tried.append(name)
+            raise ImportError("scipy is blocked: " + name)
+
+sys.meta_path.insert(0, NoScipy())
 import gausscvx.cli
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = gausscvx.cli.main(argv + ["--out-dir", {str(tmp_path)!r}])
     assert code in (0, 1), (argv, code)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+sys.modules["oracles"] = types.ModuleType("oracles")  # the scipy oracles
+from test_torsion import TestTalenti
+from gausscvx import torsion
+for w1, w2, F, extrema in TestTalenti.CASES:
+    assert torsion.talenti_1d(w1, w2, F, extrema=extrema).max_gap <= 1e-8
+print(NoScipy.tried, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert fresh_python(script) == "[] []"
+
+    @pytest.mark.parametrize("command", [["torsion"], ["verify", "--check", "gauss-main"],
+                                         ["verify", "--check", "cor-t1"],
+                                         ["verify", "--check", "minkowski-first"]])
+    def test_missing_in_radius_is_usage_error(self, command, capsys, tmp_path):
+        # a shifted ball has no in-radius oracle: a refused body, not a
+        # numerical failure, whichever command asks for it
+        code, out, err = run(command + ["--n", "2", "--body", "translate:v=0.1+0;ball:R=1",
+                                        "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "in-radius" in err and out == ""
 
 
 class TestVerifyCommand:
@@ -392,6 +408,22 @@ class TestVerifyCommand:
                             "--out-dir", str(tmp_path)], capsys)
         assert code == 1
         assert json.loads(out)["verdict"] == "violation"
+
+    @pytest.mark.parametrize("body,mode", [("translate:v=0.1+0;ball:R=1", "gaussian"),
+                                           ("ball:R=1", "gaussian_even_half")])
+    def test_brascamp_lieb_constant_follows_symmetry(self, body, mode, capsys, tmp_path):
+        # c = 1/2 needs a symmetric K; a shifted body gets c = 1, which
+        # holds for any convex K, with the same f = x_n^2
+        code, out, err = run(["verify", "--check", "brascamp-lieb", "--n", "2",
+                              "--body", body, "--out-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        rep = json.loads(out)
+        last = vf.MultiPoly.coord(2, 1)
+        K = bd.parse_body(body, 2)
+        assert rep["details"] == vf.brascamp_lieb_check(K, last * last, mode)
+        assert rep["verdict"] == "pass"
+        if mode == "gaussian":
+            assert rep["margin"] == pytest.approx(0.8596, abs=1e-4)
 
 
 class TestVerdictExit:
@@ -763,6 +795,33 @@ class TestPlots:
         for p in tmp_path.glob("*.svg"):
             root = ET.parse(p).getroot()
             assert root.tag.endswith("svg")
+
+    def test_plot_leaves_numpy_ma_unimported(self, tmp_path, monkeypatch):
+        # np.percentile would import numpy.ma (~10 ms a process); the
+        # partition-based 1st percentile writes the same bytes
+        script = f"""
+import contextlib, io, sys
+from gausscvx import cli
+for n in ("2", "3"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["plot", "--n", n, "--out-dir", {str(tmp_path)!r} + "/new" + n]) == 0
+print("numpy.ma" in sys.modules)
+"""
+        assert fresh_python(script) == "False"
+        monkeypatch.setattr(cli, "_percentile", lambda x, q: float(np.percentile(x, q)))
+        for n in ("2", "3"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["plot", "--n", n, "--out-dir", str(tmp_path / f"old{n}")]) == 0
+            new = sorted((tmp_path / f"new{n}").glob("*.svg"))
+            assert [p.name for p in new] == ["phi12.svg", "phidiff.svg", "s12.svg"]
+            for p in new:
+                assert p.read_bytes() == (tmp_path / f"old{n}" / p.name).read_bytes()
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 37.5, 50.0, 100.0])
+    @pytest.mark.parametrize("size", [2, 3, 197])
+    def test_percentile_matches_numpy(self, q, size):
+        x = np.random.default_rng(size).normal(size=size)
+        assert cli._percentile(x, q) == float(np.percentile(x, q))
 
     def test_phi_curves_cross_exactly_once(self, capsys, tmp_path):
         # the plotted difference phi_1 - phi_2 changes sign exactly once

@@ -226,6 +226,53 @@ class TestTalenti:
             tor.talenti_1d(-0.5, 1.0, lambda t: np.ones_like(t))
 
 
+class TestInPackageRules:
+    """The Talenti comparison's PCHIP and cumulative Simpson rule against
+    scipy's ``PchipInterpolator`` and ``cumulative_simpson``.  scipy is
+    imported inside the tests: the scipy-blocking CLI test imports this
+    module for ``TestTalenti.CASES``."""
+
+    @staticmethod
+    def tables():
+        rng = np.random.default_rng(27)
+        for size in (2, 2, 3, 4, 9, 40, 40):
+            x = np.cumsum(rng.uniform(0.01, 2.0, size)) - 3.0
+            steps = rng.uniform(0.0, 1.0, size)
+            yield x, np.cumsum(steps), np.cumsum(steps * (rng.uniform(size=size) > 0.3)), \
+                rng.normal(size=size) * 10.0 ** rng.uniform(-1.0, 1.0, size)  # one that turns
+        # two flat segments in a row, and a table that ends flat
+        yield np.arange(6.0), np.array([0.0, 1.0, 1.0, 1.0, 2.0, 4.0]), \
+            np.array([-3.0, -2.0, -0.5, 0.0, 0.0, 0.0])
+
+    def test_pchip_matches_scipy(self):
+        from scipy.interpolate import PchipInterpolator
+        for x, *ys in self.tables():
+            for y in ys + [-y for y in ys]:
+                q = np.concatenate([x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 501)])
+                ours = tor._monotone_interp(x, y)(q)
+                ref = PchipInterpolator(x, y)(np.clip(q, x[0], x[-1]))
+                assert np.all(np.abs(ours - ref) <= 1e-15 * np.abs(ref)), (x, y)
+
+    def test_pchip_scalar_query_keeps_zero_dim(self):
+        f = tor._monotone_interp(np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, 3.0]))
+        assert np.ndim(f(0.5)) == 0 and f(9.0) == 3.0 and f(1.0) == 2.0
+
+    @pytest.mark.parametrize("w1,w2,F,extrema", TestTalenti.CASES)
+    def test_cumulative_simpson_matches_scipy(self, w1, w2, F, extrema):
+        from scipy.integrate import cumulative_simpson, simpson
+        t = np.linspace(-w1, w2, tor._SOLVE_GRID)
+        beta = float(sf.psi_inv(sf.psi(w2) - sf.psi(-w1)))
+        s = np.linspace(min(beta, 0.0) - 14.0, beta, tor._SOLVE_GRID)
+        for x, y in ((t, F(t) * np.exp(-t * t / 2.0)), (t, np.exp(t * t / 2.0)),
+                     (s, np.exp(-s * s / 2.0)), (s, np.exp(s * s / 2.0)),
+                     (t[:-1], np.exp(t[:-1] ** 2 / 2.0))):  # an odd interval count
+            ours = tor._cumulative_simpson(y, x)
+            np.testing.assert_allclose(ours, cumulative_simpson(y, x=x, initial=0.0),
+                                       rtol=1e-13, atol=0.0)
+            if len(x) % 2:
+                assert ours[-1] == pytest.approx(simpson(y, x=x), rel=1e-13)
+
+
 class TestSaintVenantRoute:
     def test_interval_below_halfspace_of_equal_measure(self):
         # F = 1 comparison: among sets of fixed measure the half-space
