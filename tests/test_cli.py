@@ -204,6 +204,20 @@ class TestTorsionCommand:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_torsion_commands_leave_scipy_quadrature_unimported(self, tmp_path):
+        script = f"""
+import contextlib, io, sys
+from gausscvx import cli
+for argv in (["torsion", "--halfspace", "0.5"],
+             ["verify", "--check", "saint-venant", "--n", "2", "--body", "ball:R=1.0"],
+             ["verify", "--check", "alpha-halfspace"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0, argv
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "interpolate"])))
+"""
+        assert fresh_python(script) == "[]"
+
     def test_cli_commands_leave_scipy_unimported(self, tmp_path):
         # one command of each kind the cold-start benchmark launches, the
         # torsion routes and the Talenti comparison, in a fresh interpreter
