@@ -15,7 +15,11 @@ fixed k):
                          in closed form J_{k-1}(inf) (R^2 - k + 1) / g_k(R).
 
 The dimensionless concavity power of the cylinder along its own family is
-``ps_cylinder(k, a) = 1 + a * phi_k(a)``.
+``ps_cylinder(k, a) = 1 + a * phi_k(a)``.  Each profile takes a float or an
+array.  A float stays a Python float from start to finish, with the array
+path's arithmetic (``specfun.g``'s scalar path, R * R rather than R ** 2),
+so it equals its one-element array bit for bit at the cost of a few float
+operations; the Newton steps and the glued pieces below run on floats.
 
 ``partition`` tabulates, on a grid of measures, which k minimizes phi_k
 and which minimizes s_k, both rows of each k from one inversion of R_k.
@@ -46,8 +50,10 @@ middle term is c / g_n(R_n(s)) = (log R_n)'(s), so the last two terms
 integrate to log(R_n(s) / s) and only the smooth first term needs
 quadrature.  That term is 1/n^2 times one fixed integrand, which
 ``ExpIntegralTransform`` integrates once per process on piecewise-Chebyshev
-panels in s and -log(1 - s); it integrates F in u = t^{1/n}, which absorbs
-the t^{-(n-1)/n} blow-up at 0, and in -log(1 - t).
+panels in s, halved toward the log singularity of phi_inv at 1 from the
+start so that one round of integrand values builds them, and in
+-log(1 - s); it integrates F in u = t^{1/n}, which absorbs the
+t^{-(n-1)/n} blow-up at 0, and in -log(1 - t).
 
 Each transform is an object with a ``name``, a call F(a), a
 ``slope(a)`` = F'(a) and ``value_and_slope(a)`` = (F(a), F'(a)), which a
@@ -68,6 +74,15 @@ from . import panels as pn
 from . import specfun as sf
 
 
+def _measure_arg(a, message: str):
+    """``a`` as a Python float if it is a scalar, else as a float array,
+    every element strictly inside (0, 1): NaN raises ``message`` too."""
+    aa = sf._arg(a)
+    if not sf._within(aa, 0.0, 1.0):
+        raise sf.DomainError(message)
+    return aa
+
+
 def radius_of_measure(k: int, a) -> np.ndarray | float:
     """Radius R_k(a) of the round k-cylinder with Gaussian measure a in (0,1).
 
@@ -75,9 +90,7 @@ def radius_of_measure(k: int, a) -> np.ndarray | float:
     and with it s_k and phi_k, stay accurate relative to 1 - a as a -> 1.
     """
     _check_k(k)
-    aa = np.asarray(a, dtype=float)
-    if np.any(aa <= 0) or np.any(aa >= 1):
-        raise sf.DomainError("radius_of_measure requires 0 < a < 1")
+    aa = _measure_arg(a, "radius_of_measure requires 0 < a < 1")
     return sf.j_inverse_regularized(k - 1, aa)
 
 
@@ -106,15 +119,17 @@ def _s_at(k: int, R):
     return sf.g(k - 1, R) / sf.j_total(k - 1)
 
 
-def _phi_at(k: int, R):
-    """phi_k at the radius R = R_k(a)."""
-    return sf.j_total(k - 1) * (R**2 - (k - 1)) / sf.g(k, R)
+def _phi_at(k: int, R, g_k=None):
+    """phi_k at the radius R = R_k(a), given g_k(R) if it is at hand."""
+    if g_k is None:
+        g_k = sf.g(k, R)
+    return sf.j_total(k - 1) * (R * R - (k - 1)) / g_k
 
 
 def _s_and_slope(k: int, a: float) -> tuple[float, float]:
     """s_k(a) and s_k'(a) = -phi_k s_k = (k - 1 - R^2) / R, one R_k inversion."""
     R = radius_of_measure(k, a)
-    return _s_at(k, R), (k - 1 - R**2) / R
+    return _s_at(k, R), (k - 1 - R * R) / R
 
 
 def _phi_and_slope(k: int, a: float) -> tuple[float, float]:
@@ -126,14 +141,13 @@ def _phi_and_slope(k: int, a: float) -> tuple[float, float]:
     R = radius_of_measure(k, a)
     c, g_k = sf.j_total(k - 1), sf.g(k, R)
     dR = c / sf.g(k - 1, R)
-    return _phi_at(k, R), c * (2 * R - (R**2 - k + 1) * (k / R - R)) / g_k * dR
+    return _phi_at(k, R, g_k), c * (2 * R - (R * R - k + 1) * (k / R - R)) / g_k * dR
 
 
 def ps_cylinder(k: int, a) -> np.ndarray | float:
     """Concavity power of the k-cylinder family at measure a: 1 + a phi_k(a)."""
-    aa = np.asarray(a, dtype=float)
-    out = 1.0 + aa * phi_k(k, aa)
-    return float(out) if out.ndim == 0 else out
+    aa = sf._arg(a)
+    return 1.0 + aa * phi_k(k, aa)
 
 
 def _check_k(k: int) -> None:
@@ -230,7 +244,7 @@ def partition(n: int, grid=None) -> PartitionTable:
     if grid is None:
         return _default_partition(n)
     a = np.asarray(grid, dtype=float)
-    if a.ndim != 1 or np.any(a <= 0) or np.any(a >= 1):
+    if a.ndim != 1 or not sf._within(a, 0.0, 1.0):
         raise sf.DomainError("partition grid must lie strictly inside (0,1)")
     radii = [radius_of_measure(k, a) for k in range(1, n + 1)]
     phiv = np.vstack([_phi_at(k, R) for k, R in enumerate(radii, 1)])
@@ -334,18 +348,30 @@ _TWO_E2 = 2.0 * np.e**2
 
 
 def _open_unit(a) -> tuple[np.ndarray, bool]:
-    aa = np.asarray(a, dtype=float)
-    if np.any(aa <= 0) or np.any(aa >= 1):
-        raise sf.DomainError("transform defined for 0 < a < 1")
-    return np.atleast_1d(aa), aa.ndim == 0
+    aa = _measure_arg(a, "transform defined for 0 < a < 1")
+    return np.atleast_1d(aa), type(aa) is float
+
+
+def _inner_edges() -> list[float]:
+    """0, 1/2, the midpoints of seven successive halvings of [1/2, 1 - 1e-3]
+    toward 1 - 1e-3, and 1 - 1e-3.  phi_inv has a log singularity at 1, and
+    these are the panels that bisection from [0, 1/2, 1 - 1e-3] reaches,
+    computed as the same midpoints; any that fell short would still be
+    bisected."""
+    edges = [0.0, 0.5]
+    for _ in range(7):
+        edges.append(0.5 * (_S_HI + edges[-1]))
+    return edges + [_S_HI]
 
 
 @lru_cache(maxsize=None)
 def _unit_inner() -> pn.Cumulative:
     """n^2 I(s) = int_{1/2}^s phi_inv^2 / (2 e^2 s') ds' on Chebyshev panels
-    in s over [0, 1/2, 1 - 1e-3]; built once and shared by every n."""
+    in s up to 1 - 1e-3, graded toward 1 (``_inner_edges``) so that one
+    round of integrand values builds it, and ``paired`` so that it is
+    bisection's table bit for bit; built once and shared by every n."""
     return pn.Cumulative(lambda s: sf.phi_inv(s) ** 2 / (_TWO_E2 * s),
-                         [0.0, 0.5, _S_HI], 0.5, 0.0)
+                         _inner_edges(), 0.5, 0.0, paired=True)
 
 
 @lru_cache(maxsize=None)

@@ -41,9 +41,15 @@ class Cumulative:
     for an integrand whose rounding noise exceeds ``_TOL`` of its scale),
     raises ``NumericalFailure``.  ``last`` is G at the right end and ``err``
     the estimate of the module docstring.
+
+    ``paired`` forms the coefficients two panels per matrix product, the
+    shape of every round of a bisection that starts from two panels and
+    halves one per round.  BLAS may sum the rows of a larger product in
+    another order, so only then do the edges such a bisection reaches,
+    given at once, rebuild its table bit for bit.
     """
 
-    def __init__(self, f, edges, x0: float, g0: float):
+    def __init__(self, f, edges, x0: float, g0: float, paired: bool = False):
         todo, panels = list(zip(edges[:-1], edges[1:])), []
         while todo:
             lo, hi = np.array(todo).T
@@ -52,7 +58,7 @@ class Cumulative:
             if not np.all(np.isfinite(vals)):
                 raise NumericalFailure(
                     f"integrand not finite on [{lo.min():g}, {hi.max():g}]")
-            coef = vals @ _TO_COEF.T
+            coef = _coefficients(vals, paired)
             scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-2)
             tail = np.abs(coef[:, -3:])
             ok = np.max(tail, axis=1) <= _TOL * scale
@@ -68,6 +74,7 @@ class Cumulative:
         self.err = float(np.sum((hi - lo) * tail))
         # antiderivative on each panel, zero at its left edge
         self.coef = cheb.chebint(coef, lbnd=-1, axis=1) * self.half[:, None]
+        self._rows = np.ascontiguousarray(self.coef.T)  # row k: every panel's c_k
         total = self.coef.sum(axis=1)  # T_k(1) = 1
         k = int(np.searchsorted(self.edges, x0))
         at_edge = np.empty(len(self.edges))
@@ -81,11 +88,22 @@ class Cumulative:
         i = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
                     0, len(self.base) - 1)
         z = (x - self.mid[i]) / self.half[i]
-        c = self.coef[i]
+        c = self._rows[:, i]  # c[k] holds c_k of each point's panel
+        two_z = 2.0 * z
         b1 = b2 = 0.0
-        for k in range(c.shape[-1] - 1, 0, -1):  # Clenshaw
-            b1, b2 = c[..., k] + 2.0 * z * b1 - b2, b1
-        return self.base[i] + c[..., 0] + z * b1 - b2
+        for k in range(len(c) - 1, 0, -1):  # Clenshaw
+            b1, b2 = c[k] + two_z * b1 - b2, b1
+        return self.base[i] + c[0] + z * b1 - b2
+
+
+def _coefficients(vals, paired: bool):
+    """Chebyshev coefficients of each row of values at ``_NODES``, two rows
+    per matrix product if ``paired`` (an odd last row is padded)."""
+    if not paired:
+        return vals @ _TO_COEF.T
+    m = len(vals)
+    pairs = np.vstack([vals, vals[-1:]]) if m % 2 else vals
+    return (pairs.reshape(-1, 2, _DEG + 1) @ _TO_COEF.T).reshape(-1, _DEG + 1)[:m]
 
 
 def integrate(f, edges) -> tuple[float, float]:

@@ -32,7 +32,8 @@ closed forms, with numpy on arrays and with the math module on scalars:
 Measured against mpmath at 40 digits (``tests/test_specfun.py``), psi,
 phi, their inverses, j_lower, j_lower_orders and j_inverse_regularized
 stay within 2e-15 relative.  Inverses raise :class:`DomainError` where the result would be
-infinite instead of returning ``inf``.
+infinite instead of returning ``inf``; a check of a measure's interval,
+(0, 1) or [0, 1), raises it for NaN too.
 
 All functions accept scalars or numpy arrays and return matching shapes.
 """
@@ -89,6 +90,11 @@ _T_MAX = 64.0
 # scalar, or an array of at most _LOOP_MAX elements one element at a time,
 # to the float carrier: below that size numpy's fixed cost per call (about a
 # microsecond, some thirty float operations) outweighs its speed per element.
+# ``g`` is the exception: it is one power and one exp, so its scalar path
+# keeps numpy's ufuncs (on a Python float they run the loop an array would)
+# and drops only the array bookkeeping.  math.exp and float ** can differ
+# from numpy's exp and power by an ulp, which would move a crossing that
+# ``cylinder`` solves on scalars away from the same point solved on arrays.
 
 _LOOP_MAX = 16
 
@@ -161,6 +167,16 @@ def _arg(x):
 
 def _any(cond) -> bool:
     return cond if type(cond) is bool else bool(cond.any())
+
+
+def _within(x, lo: float, hi: float, lo_closed: bool = False) -> bool:
+    """Whether lo < x < hi (lo <= x < hi with ``lo_closed``) for every
+    element of x.  Written as the interval, not as a test of its complement,
+    so that NaN lies outside it."""
+    above = x >= lo if lo_closed else x > lo
+    if type(x) is float:
+        return above and x < hi
+    return bool((above & (x < hi)).all())
 
 
 def _apply(kernel, x, *fixed):
@@ -499,15 +515,23 @@ def _phi(t):
 
 
 def g(p: float, t) -> np.ndarray | float:
-    """Weighted power kernel g_p(t) = t^p exp(-t^2/2) for t >= 0."""
-    tt = np.asarray(t, dtype=float)
-    if (tt < 0).any():
+    """Weighted power kernel g_p(t) = t^p exp(-t^2/2) for t >= 0.
+
+    A scalar t stays a Python float throughout, but its power and exp are
+    numpy's (see "One code path, two carriers"), so g(p, t) equals
+    g(p, np.array([t]))[0] bit for bit.
+    """
+    tt = _arg(t)
+    if _any(tt < 0):
         raise DomainError("g requires t >= 0")
-    if p < 0 and (tt == 0).any():
+    if p < 0 and _any(tt == 0):
         raise DomainError("g with p < 0 diverges at t = 0")
+    if type(tt) is float:
+        if tt == math.inf:
+            return 0.0
+        return float(np.power(tt, p) * np.exp(-(tt * tt) / 2.0))
     with np.errstate(invalid="ignore"):
-        out = np.where(np.isinf(tt), 0.0, tt**p * np.exp(-(tt**2) / 2.0))
-    return float(out) if out.ndim == 0 else out
+        return np.where(np.isinf(tt), 0.0, tt**p * np.exp(-(tt**2) / 2.0))
 
 
 def j_total(p: float) -> float:
@@ -574,12 +598,12 @@ def j_inverse_regularized(p: int, q) -> np.ndarray | float:
     R is taken from the fraction q itself (above q = 1/2, from the tail
     1 - q, which is exact there), so it stays accurate relative to 1 - q as
     q -> 1; scaling q by j_total(p) and back would round it by an ulp first.
-    Raises :class:`DomainError` for q < 0 or q >= 1, and for a non-integer
-    or negative p.
+    Raises :class:`DomainError` for q < 0, q >= 1 or NaN, and for a
+    non-integer or negative p.
     """
     k = _order(p)
     qq = _arg(q)
-    if _any(qq < 0) or _any(qq >= 1):
+    if not _within(qq, 0.0, 1.0, lo_closed=True):
         raise DomainError("j_inverse_regularized requires 0 <= q < 1")
     return _apply(_inverse, qq, k)
 
@@ -590,9 +614,9 @@ def psi(t) -> np.ndarray | float:
 
 
 def psi_inv(a) -> np.ndarray | float:
-    """Gaussian quantile; domain (0, 1) open, endpoints raise."""
+    """Gaussian quantile; domain (0, 1) open, endpoints and NaN raise."""
     aa = _arg(a)
-    if _any(aa <= 0) or _any(aa >= 1):
+    if not _within(aa, 0.0, 1.0):
         raise DomainError("psi_inv requires 0 < a < 1")
     return _apply(_psi_inv, aa)
 
@@ -606,9 +630,10 @@ def phi(t) -> np.ndarray | float:
 
 
 def phi_inv(a) -> np.ndarray | float:
-    """Inverse of phi on [0, 1); phi_inv(1) would be infinite and raises."""
+    """Inverse of phi on [0, 1); phi_inv(1) would be infinite and raises, as
+    does NaN."""
     aa = _arg(a)
-    if _any(aa < 0) or _any(aa >= 1):
+    if not _within(aa, 0.0, 1.0, lo_closed=True):
         raise DomainError("phi_inv requires 0 <= a < 1")
     return _apply(_inverse, aa, 0)
 
@@ -616,10 +641,10 @@ def phi_inv(a) -> np.ndarray | float:
 def eta(a) -> np.ndarray | float:
     """Half-space first-variation ratio sqrt(2 pi) a psi_inv(a) e^{psi_inv(a)^2/2}.
 
-    Defined on (0, 1); it vanishes at a = 1/2, is bounded below by -1, and
-    grows without bound as a -> 1.
+    Defined on (0, 1), outside which (NaN included) it raises; it vanishes
+    at a = 1/2, is bounded below by -1, and grows without bound as a -> 1.
     """
     aa = _arg(a)
-    if _any(aa <= 0) or _any(aa >= 1):
+    if not _within(aa, 0.0, 1.0):
         raise DomainError("eta requires 0 < a < 1")
     return _apply(_eta, aa)

@@ -282,6 +282,81 @@ class TestPerimeterAndPhi:
         assert np.all(cyl.ps_cylinder(1, a) > 1.0)
 
 
+PROFILES = {
+    "radius_of_measure": cyl.radius_of_measure,
+    "perimeter_s": cyl.perimeter_s,
+    "phi_k": cyl.phi_k,
+    "ps_cylinder": cyl.ps_cylinder,
+    "_phi_and_slope": cyl._phi_and_slope,
+    "_s_and_slope": cyl._s_and_slope,
+}
+
+
+class TestScalarProfiles:
+    """A float measure stays a Python float through every profile, with
+    the array path's arithmetic, so scalar and one-element array agree."""
+
+    # 0.561 with k = 1 is a point where R**2 (libm pow) and R * R differ
+    GRID = np.linspace(0.001, 0.999, 999)
+
+    @pytest.mark.parametrize("name", list(PROFILES))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_scalar_equals_one_element_array(self, name, k):
+        f = PROFILES[name]
+        for a in [*self.GRID, 1e-300, 1e-12, 1 - 1e-12, 1 - 2.0**-53]:
+            a = float(a)
+            with np.errstate(over="ignore"):  # phi_k' overflows near a = 0
+                got, want = f(k, a), f(k, np.array([a]))
+            if name.endswith("_slope"):
+                assert all(type(v) is float for v in got)
+                assert got == tuple(float(w[0]) for w in want), a
+            else:
+                assert type(got) is float
+                assert got == want[0], a
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_slopes_carry_the_profile_values(self, k):
+        for a in self.GRID[::7]:
+            assert cyl._phi_and_slope(k, a)[0] == cyl.phi_k(k, a)
+            assert cyl._s_and_slope(k, a)[0] == cyl.perimeter_s(k, a)
+
+    @pytest.mark.parametrize("name", ["radius_of_measure", "perimeter_s", "phi_k",
+                                      "ps_cylinder"])
+    def test_zero_dim_array_gives_the_float(self, name):
+        f = PROFILES[name]
+        for a in (0.2, 0.7):
+            got = f(2, np.array(a))
+            assert type(got) is float and got == f(2, a)
+            assert f(2, np.float64(a)) == f(2, a)
+
+    @pytest.mark.parametrize("name", list(PROFILES))
+    @pytest.mark.parametrize("a", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_scalar_domain_errors_are_the_array_ones(self, name, a):
+        f = PROFILES[name]
+        for arg in (a, np.array([a]), np.array([0.5, a])):
+            with pytest.raises(sf.DomainError):
+                f(2, arg)
+
+    @pytest.mark.parametrize("name", ["radius_of_measure", "phi_k", "ps_cylinder"])
+    def test_nan_raises(self, name):
+        # NaN passed `a <= 0 or a >= 1` and came back as nan
+        for arg in (float("nan"), np.array(float("nan")), np.full(20, np.nan)):
+            with pytest.raises(sf.DomainError):
+                PROFILES[name](1, arg)
+
+    @pytest.mark.parametrize("name", ["conjecture_F", "weak_F", "bad_func"])
+    def test_transforms_refuse_nan(self, name):
+        tr = vf.measure_transform(name, 2)
+        for arg in (float("nan"), np.array([0.5, np.nan])):
+            for f in (tr, tr.slope, tr.value_and_slope):
+                with pytest.raises(sf.DomainError):
+                    f(arg)
+
+    def test_partition_grid_refuses_nan(self):
+        with pytest.raises(sf.DomainError):
+            cyl.partition(2, [0.2, float("nan"), 0.8])
+
+
 class TestPartition:
     def test_crossings_match_brentq(self):
         table = cyl.partition(2)
@@ -495,6 +570,24 @@ class TestColdBuilds:
         assert len(builds) == 5  # F's tail for n = 3
         cyl.weak_transform(2)(1.0 - 1e-6), tr(1.0 - 1e-9)
         assert len(builds) == 6  # F's tail for n = 2; n = 3's is kept
+
+    def test_inner_table_is_built_in_one_round(self, cold, monkeypatch):
+        calls = counting(monkeypatch, sf, "phi_inv")
+        G = cyl._unit_inner()
+        assert len(calls) == 1
+        adaptive = pn.Cumulative(lambda s: sf.phi_inv(s) ** 2 / (cyl._TWO_E2 * s),
+                                 [0.0, 0.5, 1.0 - 1e-3], 0.5, 0.0)
+        assert len(calls) > 2  # bisection took several rounds
+        for name in ("edges", "coef", "base"):
+            assert np.array_equal(getattr(G, name), getattr(adaptive, name)), name
+        assert (G.last, G.err) == (adaptive.last, adaptive.err)
+
+    def test_inner_edges_halve_toward_the_singularity(self):
+        edges = cyl._inner_edges()
+        assert edges[:2] == [0.0, 0.5] and edges[-1] == 1.0 - 1e-3
+        widths = np.diff(edges[1:])
+        np.testing.assert_allclose(widths, 0.499 / 2.0 ** np.array([1, 2, 3, 4, 5, 6, 7, 7]),
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_counterexample_family_solves_no_crossing(self, n, monkeypatch):

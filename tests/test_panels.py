@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gausscvx import cylinder as cyl
 from gausscvx import panels as pn
 from gausscvx import specfun as sf
 
@@ -40,3 +41,34 @@ class TestCumulative:
         x = np.linspace(0.0, 3.0, 31)
         assert np.max(np.abs(G(x) - (0.25 + np.sin(x) - np.sin(1.0)))) <= G.err
 
+    def test_paired_build_on_bisected_edges_is_the_bisected_table(self):
+        # x^2.5 is bisected toward 0 in rounds of two panels
+        f = lambda x: x ** 2.5
+        bisected = pn.Cumulative(f, [0.0, 0.5, 1.0], 0.0, 0.0)
+        calls = []
+        graded = pn.Cumulative(lambda x: calls.append(x) or f(x), list(bisected.edges),
+                               0.0, 0.0, paired=True)
+        assert len(calls) == 1 and len(bisected.edges) > 4
+        for name in ("edges", "coef", "base"):
+            assert np.array_equal(getattr(graded, name), getattr(bisected, name)), name
+        assert (graded.last, graded.err) == (bisected.last, bisected.err)
+
+    def test_clenshaw_matches_the_per_panel_loop(self):
+        # the former evaluation, kept as the oracle: coefficient columns of
+        # each point's panel, 2 z formed inside the loop
+        def oracle(G, x):
+            i = np.clip(np.searchsorted(G.edges, x, side="right") - 1, 0, len(G.base) - 1)
+            z = (x - G.mid[i]) / G.half[i]
+            c = G.coef[i]
+            b1 = b2 = 0.0
+            for k in range(c.shape[-1] - 1, 0, -1):
+                b1, b2 = c[..., k] + 2.0 * z * b1 - b2, b1
+            return G.base[i] + c[..., 0] + z * b1 - b2
+
+        G = cyl._unit_inner()
+        e = G.edges
+        x = np.concatenate([e, np.linspace(e[:-1], e[1:], 13, axis=1).ravel()])
+        assert np.array_equal(G(x), oracle(G, x))
+        assert np.array_equal(G(x[:126].reshape(2, -1)), oracle(G, x[:126].reshape(2, -1)))
+        for v in (0.0, 0.3, 0.75, e[-1]):
+            assert G(v) == oracle(G, v)

@@ -82,6 +82,50 @@ class TestCdfPair:
         assert sf.g(2.5, 1.2) == pytest.approx(1.2**2.5 * np.exp(-0.72), rel=1e-15)
 
 
+class TestScalarG:
+    """g's scalar path keeps numpy's power and exp on a Python float, so it
+    equals the array path bit for bit."""
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 0.5])
+    def test_scalar_equals_one_element_array(self, p):
+        for t in (0.0, 1e-300, 0.3, 1.0, 6.0, 40.0, np.inf):
+            got = sf.g(p, t)
+            assert type(got) is float
+            assert got == sf.g(p, np.array([t]))[0], (p, t)
+
+    def test_scalar_equals_array_on_a_spread(self):
+        t = np.concatenate([np.linspace(0.0, 12.0, 1201), np.geomspace(1e-200, 1.0, 200)])
+        for p in (0, 1, 2, 3, 4, 0.5):
+            assert [sf.g(p, float(x)) for x in t] == sf.g(p, t).tolist(), p
+
+    @pytest.mark.parametrize("t", [-1e-300, -0.5, -np.inf])
+    def test_negative_t_raises_for_scalars_and_arrays(self, t):
+        for arg in (t, np.array([t]), np.array(t), [1.0, t]):
+            with pytest.raises(sf.DomainError, match="t >= 0"):
+                sf.g(2, arg)
+
+    def test_negative_order_at_zero_raises_for_scalars_and_arrays(self):
+        for arg in (0.0, 0, np.array([0.0]), np.array([1.0, 0.0])):
+            with pytest.raises(sf.DomainError, match="diverges"):
+                sf.g(-1, arg)
+        assert sf.g(-1, 2.0) == sf.g(-1, np.array([2.0]))[0]
+
+
+class TestNanDomain:
+    """A NaN argument lies outside every interval a measure's inverse
+    accepts; each check raises for it, for scalars and arrays alike."""
+
+    @pytest.mark.parametrize("f", [
+        lambda x: sf.j_inverse_regularized(2, x), sf.psi_inv, sf.phi_inv, sf.eta],
+        ids=["j_inverse_regularized", "psi_inv", "phi_inv", "eta"])
+    def test_nan_raises(self, f):
+        nan = float("nan")
+        for arg in (nan, np.float64(nan), np.array(nan), np.array([0.3, nan]),
+                    np.full(20, nan)):
+            with pytest.raises(sf.DomainError):
+                f(arg)
+
+
 class TestEta:
     def test_zero_at_half(self):
         assert sf.eta(0.5) == 0.0
