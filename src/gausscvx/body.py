@@ -60,7 +60,6 @@ class SupportBody:
 
     n: int
     support: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = True
     shift: np.ndarray = field(default=None)  # type: ignore[assignment]
     exact_radial: Callable[[np.ndarray], np.ndarray] | None = None
     exact_inradius: float | None = None
@@ -79,6 +78,11 @@ class SupportBody:
     @property
     def shifted(self) -> bool:
         return bool(np.any(self.shift != 0.0))
+
+    @property
+    def symmetric(self) -> bool:
+        """K = -K: every body is a translate of a symmetric one."""
+        return not self.shifted
 
 
 def _rows(theta, n: int) -> tuple[np.ndarray, bool]:
@@ -304,7 +308,7 @@ def translate(body: SupportBody, v) -> SupportBody:
         return base_support(uu) + uu @ v
 
     return SupportBody(
-        n=body.n, support=support, symmetric=False, shift=v,
+        n=body.n, support=support, shift=v,
         exact_radial=_translate_radial(body, v), exact_inradius=None,
         label=f"translate({body.label},v={np.round(v,6).tolist()})",
         kind="translate", params=(body,) + tuple(v),
@@ -649,7 +653,7 @@ def interpolate(K: SupportBody, L: SupportBody, lam: float) -> SupportBody:
         return np.where(np.isinf(a) | np.isinf(b), np.inf, s)
 
     return SupportBody(
-        n=K.n, support=support, symmetric=K.symmetric and L.symmetric,
+        n=K.n, support=support,
         shift=(1.0 - lam) * K.shift + lam * L.shift,
         label=f"interp({K.label},{L.label},{lam:g})",
     )
@@ -726,7 +730,6 @@ def dilate(K: SupportBody, c: float) -> SupportBody:
     return SupportBody(
         n=K.n,
         support=lambda u: c * np.asarray(base_support(u), dtype=float),
-        symmetric=K.symmetric,
         shift=c * K.shift,
         exact_radial=(None if base_radial is None
                       else lambda t: c * np.asarray(base_radial(t), dtype=float)),

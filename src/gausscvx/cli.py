@@ -12,18 +12,19 @@ plot            self-contained SVG line charts of the profile functions
 
 Exit codes: 0 = pass, 1 = a verified violation, 2 = usage error (an
 unknown check, a malformed body string or config file, a setting below
-its least value or not finite, ``--rule-size 1``, a pair of bodies of
-different dimension, a body without the in-radius a command needs, and
-help or output to a closed stdout or stderr included), 3 = numerical failure (a concavity check whose path measure
-rounds to 0 or 1 included), 4 = internal error (any other
-exception; its traceback goes to stderr).  ``verify`` runs one row of
-``CHECKS`` and maps its verdict through ``VERDICT_EXIT``: pass -> 0,
-violation -> 1, inconclusive -> 3 (a concavity check whose error budget
-cannot decide), witness and none -> 0 (a counterexample search's witness
-is its finding, inside the report, not a failure).  ``--tol`` overrides
-the default tolerance of the other checks; it does not affect ehrhard,
-conjecture, weak or the counterexample searches, whose verdicts come from
-the concavity check's error budget.
+its least value, ``--rule-size 1``, a pair of bodies of different
+dimension, a body without the in-radius a command needs, and help or
+output to a closed stdout or stderr included), 3 = numerical failure (a
+concavity check whose path measure rounds to 0 or 1 included), 4 =
+internal error (any other exception; its traceback goes to stderr).
+``verify`` runs one row of ``CHECKS`` and maps its verdict through
+``VERDICT_EXIT``: pass -> 0, violation -> 1, inconclusive -> 3 (a
+concavity check whose error budget cannot decide), witness and none -> 0
+(a counterexample search's witness is its finding, inside the report, not
+a failure).  A row grades a
+violation only when its margin is below minus its own budget, which it
+computes from its error estimates (the concavity rows from the check's
+error budget).
 
 Bodies are given in the grammar of ``body.parse_body``:
 ``name:key=val,...`` composed with ``interp:lambda=x;<body>|<body>``.
@@ -67,13 +68,11 @@ class ConfigError(ValueError):
 
 def _at_least(kind, least=None):
     """Parser of a flag or config value: ``kind`` of the text, refused as a
-    usage error below ``least`` or when not finite (NaN and inf)."""
+    usage error below ``least``."""
     def parse(text: str):
         value = kind(text)
         if least is not None and not value >= least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
-        if isinstance(value, float) and not np.isfinite(value):
-            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return parse
@@ -96,7 +95,6 @@ class RunConfig:
     # the n=4 direction grid has its own seed, body._MC_GRID_SEED
     seed: int = _setting(7, "Monte Carlo seed of measure --mc")
     rule_size: int = _setting(0, "spherical-rule size; 0 = per-dimension default", least=0)
-    tol: float = _setting(0.0, "tolerance override; 0 = per-check default", least=0.0)
     grid: int = _setting(99, "measure-grid resolution of tables", least=1)
     t_points: int = _setting(33, "interpolation grid size", least=vf.MIN_T_POINTS)
     out_dir: str = _setting("artifacts", "directory for JSON reports and figures")
@@ -106,8 +104,7 @@ class RunConfig:
 
 def write_config(cfg: RunConfig, path) -> None:
     lines = ["# gausscvx run configuration"]
-    lines += [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}"
-              for k, v in dataclasses.asdict(cfg).items()]
+    lines += [f"{k} = {v}" for k, v in dataclasses.asdict(cfg).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -133,10 +130,6 @@ def read_config(path) -> RunConfig:
 
 def _rule(cfg: RunConfig, n: int | None = None) -> gm.SphereRule:
     return gm.sphere_rule(n or cfg.n, cfg.rule_size or None)
-
-
-def _tol(cfg: RunConfig, default: float) -> float:
-    return cfg.tol if cfg.tol > 0.0 else default
 
 
 def _bodies(cfg: RunConfig) -> tuple[bd.SupportBody, bd.SupportBody]:
@@ -352,8 +345,8 @@ VERDICT_EXIT = {"pass": EXIT_PASS, "violation": EXIT_VIOLATION,
                 "witness": EXIT_PASS, "none": EXIT_PASS}
 
 
-def _grade(margin: float, tol: float) -> str:
-    return "pass" if margin >= -tol else "violation"
+def _grade(margin: float, budget: float) -> str:
+    return "pass" if margin >= -budget else "violation"
 
 
 def _check_saint_venant(cfg: RunConfig):
@@ -367,14 +360,14 @@ def _check_saint_venant(cfg: RunConfig):
     rhs = tor.torsion_halfspace(a)
     margin = rhs.value - lhs.value
     return (lhs.value, rhs.value, margin,
-            _grade(margin, _tol(cfg, 1e-6) * rhs.value),
+            _grade(margin, 1e-6 * rhs.value),
             {"a": a, "lhs_err": lhs.err, "rhs_err": rhs.err})
 
 
 def _concavity(transform: str):
     """Row: concavity of ``transform`` of the measure along the interpolation
     of the two bodies; the verdict is the check's own, from its error
-    budget, so ``--tol`` does not enter."""
+    budget."""
     def row(cfg: RunConfig):
         K, L = _bodies(cfg)
         rep = vf.concavity_check(transform, K, L, n_t=cfg.t_points,
@@ -391,10 +384,10 @@ def _concavity(transform: str):
 
 def _max_power_over(cfg: RunConfig, K, L, bound: float):
     """The certified concavity power of (K, L) against a lower ``bound``;
-    the bracket's width widens the tolerance."""
+    the bracket's width widens the budget."""
     pb = vf.max_power(K, L, n_t=cfg.t_points, rule=_rule(cfg, K.n))
     margin = pb.value - bound
-    return pb, margin, _grade(margin, _tol(cfg, 1e-6) + pb.width)
+    return pb, margin, _grade(margin, 1e-6 + pb.width)
 
 
 def _check_max_power(cfg: RunConfig):
@@ -424,7 +417,7 @@ def _check_minkowski_first(cfg: RunConfig):
     K, L = _bodies(cfg)
     rec = vf.minkowski_first_check(K, L, rule=_rule(cfg, K.n))
     return (rec["lhs"], rec["rhs"], rec["slack"],
-            _grade(rec["slack"], _tol(cfg, 3.0 * rec["lhs_err"] + 1e-8)), rec)
+            _grade(rec["slack"], 3.0 * rec["lhs_err"] + 1e-8), rec)
 
 
 def _check_brascamp_lieb(cfg: RunConfig):
@@ -437,7 +430,7 @@ def _check_brascamp_lieb(cfg: RunConfig):
         mode, f = ("gaussian_even_half" if K.symmetric else "gaussian"), last * last
     rec = vf.brascamp_lieb_check(K, f, mode, rule=_rule(cfg, K.n))
     return (rec["var"], rec["bound"], rec["slack"],
-            _grade(rec["slack"], _tol(cfg, 3.0 * rec["err"] + 1e-8)), rec)
+            _grade(rec["slack"], 3.0 * rec["err"] + 1e-8), rec)
 
 
 def _check_moments(cfg: RunConfig):
@@ -445,12 +438,12 @@ def _check_moments(cfg: RunConfig):
     rec = vf.moment_inequality_suite(K, rule=_rule(cfg, K.n))
     worst = min(rec["margins"].values())
     return (worst, 0.0, worst,
-            _grade(worst, _tol(cfg, 3.0 * rec["err"] + 1e-8)), rec)
+            _grade(worst, 3.0 * rec["err"] + 1e-8), rec)
 
 
 def _check_alpha_halfspace(cfg: RunConfig):
     rec = vf.alpha_halfspace(0.3)
-    margin = _tol(cfg, 1e-8) - abs(rec["diff"])
+    margin = 1e-8 - abs(rec["diff"])
     return (rec["quadrature"], rec["closed"], margin, _grade(margin, 0.0),
             rec)
 
@@ -459,8 +452,8 @@ def _check_s_inequality(cfg: RunConfig):
     K = bd.parse_body(cfg.body, cfg.n)
     rec = vf.s_inequality_check(K, rule=_rule(cfg, K.n))
     worst = min(r["margin"] for r in rec["rows"])
-    tol = _tol(cfg, 3.0 * max(r["err"] for r in rec["rows"]) + 1e-8)
-    return worst, 0.0, worst, _grade(worst, tol), rec
+    budget = 3.0 * max(r["err"] for r in rec["rows"]) + 1e-8
+    return worst, 0.0, worst, _grade(worst, budget), rec
 
 
 def _check_propgauss(cfg: RunConfig):
@@ -468,7 +461,7 @@ def _check_propgauss(cfg: RunConfig):
     u = vf.MultiPoly.abs_sq(K.n) * 0.5
     rec = vf.propgauss_check(K, u, rule=_rule(cfg, K.n))
     return (rec["lhs"], rec["rhs"], rec["slack"],
-            _grade(rec["slack"], _tol(cfg, 3.0 * rec["err"] + 1e-9)), rec)
+            _grade(rec["slack"], 3.0 * rec["err"] + 1e-9), rec)
 
 
 def _counterexample(transform: str):

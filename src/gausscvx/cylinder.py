@@ -368,10 +368,10 @@ def _inner_edges() -> list[float]:
 def _unit_inner() -> pn.Cumulative:
     """n^2 I(s) = int_{1/2}^s phi_inv^2 / (2 e^2 s') ds' on Chebyshev panels
     in s up to 1 - 1e-3, graded toward 1 (``_inner_edges``) so that one
-    round of integrand values builds it, and ``paired`` so that it is
-    bisection's table bit for bit; built once and shared by every n."""
+    round of integrand values builds bisection's table bit for bit; built
+    once and shared by every n."""
     return pn.Cumulative(lambda s: sf.phi_inv(s) ** 2 / (_TWO_E2 * s),
-                         _inner_edges(), 0.5, 0.0, paired=True)
+                         _inner_edges(), 0.5, 0.0)
 
 
 @lru_cache(maxsize=None)

@@ -42,14 +42,14 @@ class Cumulative:
     raises ``NumericalFailure``.  ``last`` is G at the right end and ``err``
     the estimate of the module docstring.
 
-    ``paired`` forms the coefficients two panels per matrix product, the
-    shape of every round of a bisection that starts from two panels and
-    halves one per round.  BLAS may sum the rows of a larger product in
-    another order, so only then do the edges such a bisection reaches,
-    given at once, rebuild its table bit for bit.
+    The coefficients are formed two panels per matrix product, whatever
+    the number of panels in a round (BLAS may sum the rows of a larger
+    product in another order).  So no table depends on how many panels a
+    round forms, and the edges a bisection reaches, given at once, rebuild
+    its table bit for bit.
     """
 
-    def __init__(self, f, edges, x0: float, g0: float, paired: bool = False):
+    def __init__(self, f, edges, x0: float, g0: float):
         todo, panels = list(zip(edges[:-1], edges[1:])), []
         while todo:
             lo, hi = np.array(todo).T
@@ -58,7 +58,7 @@ class Cumulative:
             if not np.all(np.isfinite(vals)):
                 raise NumericalFailure(
                     f"integrand not finite on [{lo.min():g}, {hi.max():g}]")
-            coef = _coefficients(vals, paired)
+            coef = _coefficients(vals)
             scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-2)
             tail = np.abs(coef[:, -3:])
             ok = np.max(tail, axis=1) <= _TOL * scale
@@ -96,11 +96,9 @@ class Cumulative:
         return self.base[i] + c[0] + z * b1 - b2
 
 
-def _coefficients(vals, paired: bool):
+def _coefficients(vals):
     """Chebyshev coefficients of each row of values at ``_NODES``, two rows
-    per matrix product if ``paired`` (an odd last row is padded)."""
-    if not paired:
-        return vals @ _TO_COEF.T
+    per matrix product (an odd last row is padded)."""
     m = len(vals)
     pairs = np.vstack([vals, vals[-1:]]) if m % 2 else vals
     return (pairs.reshape(-1, 2, _DEG + 1) @ _TO_COEF.T).reshape(-1, _DEG + 1)[:m]

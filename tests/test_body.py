@@ -123,7 +123,7 @@ class TestRadial:
     def test_generic_support_path_agrees_with_exact(self):
         # strip the fast radial path and force the support-based refinement
         K = bd.catalog("ellipsoid", 2, c=(0.8, 1.5))
-        K_slow = bd.SupportBody(n=2, support=K.support, symmetric=True,
+        K_slow = bd.SupportBody(n=2, support=K.support,
                                 label="slow", kind="generic", params=())
         rng = np.random.default_rng(7)
         thetas = rng.normal(size=(6, 2))
@@ -248,6 +248,33 @@ class TestTransforms:
         assert M.support(u)[0] == pytest.approx(
             K.support(u)[0] + 0.25 * L.support(u)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("K", [
+        bd.translate(bd.ball(1.0, 2), [0.0, 0.0]),
+        bd.interpolate(bd.translate(bd.ball(1.0, 2), [0.2, 0.0]),
+                       bd.translate(bd.ball(1.0, 2), [-0.2, 0.0]), 0.5),
+    ], ids=["zero-translate", "opposite-translates"])
+    def test_symmetry_is_read_from_the_shift(self, K):
+        assert not K.shifted and K.symmetric
+        assert bd.translate(bd.ball(1.0, 2), [0.2, 0.0]).symmetric is False
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("make,match", [
+        (lambda: bd.SupportBody(n=0, support=np.ones_like), "dimension must be >= 1"),
+        (lambda: bd.radial(bd.ball(1.0, 2), np.ones((4, 3))), "direction dimension"),
+        (lambda: bd.translate(bd.translate(bd.ball(1.0, 2), [0.1, 0.0]), [0.0, 0.1]),
+         "unshifted body"),
+        (lambda: bd.minkowski_sum(bd.ball(1.0, 2), bd.ball(0.5, 2), -0.1),
+         "eps must be nonnegative"),
+        (lambda: bd.dilate(bd.ball(1.0, 2), 0.0), "must be positive"),
+        (lambda: bd.dilate(bd.ball(1.0, 2), -2.0), "must be positive"),
+        (lambda: bd.parse_body("interp:lambda=0.5;ball:R=1", 2), "needs `|`"),
+    ], ids=["n=0", "radial-width", "translate-twice", "minkowski-eps<0",
+            "dilate-0", "dilate<0", "interp-without-bar"])
+    def test_refused_operation_is_body_error(self, make, match):
+        with pytest.raises(bd.BodyError, match=match):
+            make()
+
 
 class TestInterpolation:
     PAIRS = [
@@ -294,7 +321,7 @@ class TestInterpolation:
             K = bd.catalog(na, n, **pa)
             L = bd.catalog(nb, n, **pb)
             M = bd.interpolate(K, L, 0.42)
-            G = bd.SupportBody(n=n, support=M.support, symmetric=True,
+            G = bd.SupportBody(n=n, support=M.support,
                                label="generic", kind="generic", params=())
             thetas = rng.normal(size=(8, n))
             thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)

@@ -439,6 +439,51 @@ class TestVerifyCommand:
         if mode == "gaussian":
             assert rep["margin"] == pytest.approx(0.8596, abs=1e-4)
 
+    @pytest.mark.parametrize("body", [
+        "translate:v=0+0;ball:R=1",
+        "interp:lambda=0.5;translate:v=0.2+0;ball:R=1|translate:v=-0.2+0;ball:R=1",
+    ])
+    def test_zero_shift_bodies_are_symmetric(self, body, capsys, tmp_path):
+        # both bodies are the unit disk, shift 0: symmetric, so brascamp-lieb
+        # takes c = 1/2 and the moment suite runs its three shifted rows
+        base = ["--n", "2", "--body", body, "--out-dir", str(tmp_path)]
+        code, out, err = run(["verify", "--check", "brascamp-lieb", *base], capsys)
+        assert code == 0, err
+        assert json.loads(out)["details"]["mode"] == "gaussian_even_half"
+        code, out, err = run(["verify", "--check", "moments", *base], capsys)
+        assert code == 0, err
+        assert len(json.loads(out)["details"]["shifted"]) == 3
+
+
+class TestNoToleranceOverride:
+    """Exit 1 needs a margin below minus the row's own budget; no setting
+    replaces that budget."""
+
+    def test_tol_flag_is_refused(self, capsys, tmp_path):
+        code, out, err = run(["verify", "--check", "moments", "--tol", "1e-6",
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert "--tol" in err
+
+    def test_tol_config_key_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("tol = 1e-6\n")
+        code, out, err = run(["verify", "--check", "moments", "--config", str(path),
+                              "--out-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert "'tol'" in err
+
+    @pytest.mark.parametrize("body", ["box:a=0.7+1.0", "ellipsoid:c=0.8+1.3",
+                                      "cylinder:k=1,R=0.9"])
+    def test_propgauss_equality_case_passes(self, body, capsys, tmp_path):
+        # u = |x|^2/2 is the equality case: the margin is rounding, -8.9e-16
+        code, out, err = run(["verify", "--check", "propgauss", "--n", "2",
+                              "--body", body, "--out-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["verdict"] == "pass"
+        assert abs(rep["margin"]) <= 1e-14
+
 
 class TestVerdictExit:
     def test_pass_inside_tolerance(self):
@@ -579,7 +624,7 @@ class TestUsageErrors:
         ["measure", "--n", "-1"],
         # a setting below its least value: --rule-size 1 and -3 exited 4
         # (ZeroDivisionError), --grid -1 wrote an empty table with exit 0,
-        # --t-points 5 exited 3 and --tol -1 ran with the default tolerance
+        # --t-points 5 exited 3
         ["measure", "--n", "2", "--body", "ball:R=1", "--rule-size", "1"],
         ["measure", "--n", "2", "--body", "ball:R=1", "--rule-size", "-3"],
         # a one-point n = 4 Monte Carlo rule reported 0.09105 +- 1e-13 on a
@@ -589,13 +634,14 @@ class TestUsageErrors:
         ["cylinder-table", "--config", "grid.cfg"],  # grid.cfg holds grid = -1
         ["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=1",
          "--t-points", "5"],
+        # the tolerance override is gone: --tol is an unknown flag and a
+        # tol line an unknown config key (--tol inf graded every margin
+        # pass, and alpha-halfspace wrote "margin": Infinity, not JSON)
         ["verify", "--check", "moments", "--tol", "-1"],
-        # a tolerance of inf graded every margin pass, and alpha-halfspace
-        # wrote "margin": Infinity, which is not JSON
         ["verify", "--check", "moments", "--n", "2", "--body", "ball:R=1",
          "--rule-size", "64", "--tol", "inf"],
         ["verify", "--check", "alpha-halfspace", "--tol", "inf"],
-        ["verify", "--check", "moments", "--config", "tol.cfg"],  # tol = inf
+        ["verify", "--check", "moments", "--config", "tol.cfg"],  # unknown key tol
         # a pair of bodies of different dimension exited 3
         *(["verify", "--check", check, "--n", "2", "--body", "ball:R=1",
            "--body2", "ball:R=1,n=3"]
@@ -615,6 +661,18 @@ class TestUsageErrors:
         code, out, err = run(["cylinder-table", "--config", str(path)], capsys)
         assert code == 2
         assert "grid" in err and out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cylinder-table", "--config", "run.cfg"], "expected key = value"),
+        (["plot", "--n", "1"], "figures need n >= 2"),
+    ], ids=["config-line-without-equals", "plot-n1"])
+    def test_refused_before_any_output(self, argv, message, capsys, tmp_path,
+                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("# a run\ngrid 7\n")
+        code, out, err = run(argv + ["--out-dir", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(["transmogrify"], capsys)
@@ -744,8 +802,6 @@ class TestInternalErrors:
         "grid": (["cylinder-table", "--n", "2"], st.integers(-2, 3), 1),
         "t_points": (["verify", "--check", "ehrhard", "--n", "2", "--body", "ball:R=0.8"],
                      st.integers(0, 11), 9),
-        "tol": (["verify", "--check", "moments", "--n", "2", "--rule-size", "64"],
-                st.sampled_from([-1.0, 0.0, 1e-6, math.inf]), 0.0),
     }
 
     @settings(max_examples=30, deadline=None)
@@ -773,7 +829,7 @@ class TestInternalErrors:
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = cli.RunConfig(n=3, seed=123, rule_size=4096, tol=2.5e-7,
+        cfg = cli.RunConfig(n=3, seed=123, rule_size=4096,
                             grid=42, t_points=19, out_dir=str(tmp_path),
                             body="cylinder:k=2,R=0.9",
                             body2="interp:lambda=0.25;ball:R=1|strip:w=0.8")

@@ -241,6 +241,11 @@ class TestRadiusMaps:
                 assert cyl.measure_of_radius(k, R) == pytest.approx(
                     oracles.ball_measure(R, k), abs=1e-12)
 
+    @pytest.mark.parametrize("k", [0, 1.5])
+    def test_cylinder_index_is_a_whole_number_from_1(self, k):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            cyl.radius_of_measure(k, 0.5)
+
 
 class TestPerimeterAndPhi:
     def test_perimeter_formula(self):

@@ -32,6 +32,11 @@ CLOSED_MEASURE_CASES = [
 
 
 class TestMeasure:
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_mc_measure_needs_a_sample(self, N):
+        with pytest.raises(ValueError, match="N >= 1"):
+            gm.mc_measure(bd.ball(1.0, 2), N, 7)
+
     def test_closed_forms(self):
         for mk, truth in CLOSED_MEASURE_CASES:
             est = gm.measure(mk())

@@ -47,7 +47,7 @@ class TestCumulative:
         bisected = pn.Cumulative(f, [0.0, 0.5, 1.0], 0.0, 0.0)
         calls = []
         graded = pn.Cumulative(lambda x: calls.append(x) or f(x), list(bisected.edges),
-                               0.0, 0.0, paired=True)
+                               0.0, 0.0)
         assert len(calls) == 1 and len(bisected.edges) > 4
         for name in ("edges", "coef", "base"):
             assert np.array_equal(getattr(graded, name), getattr(bisected, name)), name

@@ -126,6 +126,19 @@ class TestNanDomain:
                 f(arg)
 
 
+class TestDomainRefusals:
+    @pytest.mark.parametrize("call,match", [
+        (lambda: sf.j_total(-1), "p > -1"),
+        (lambda: sf.j_lower(2, -1.0), "R >= 0"),
+        (lambda: sf.j_lower_orders(3, 2, 1.0), "p <= q"),
+        (lambda: sf.j_lower_orders(0, 2, -1.0), "R >= 0"),
+        (lambda: sf.phi(-0.1), "t >= 0"),
+    ], ids=["j_total", "j_lower", "j_lower_orders-p>q", "j_lower_orders-R<0", "phi"])
+    def test_outside_the_domain_raises(self, call, match):
+        with pytest.raises(sf.DomainError, match=match):
+            call()
+
+
 class TestEta:
     def test_zero_at_half(self):
         assert sf.eta(0.5) == 0.0

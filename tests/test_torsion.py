@@ -225,6 +225,12 @@ class TestTalenti:
         with pytest.raises(ValueError):
             tor.talenti_1d(-0.5, 1.0, lambda t: np.ones_like(t))
 
+    @pytest.mark.parametrize("F", [lambda t: -np.ones_like(t), lambda t: np.sin(3.0 * t)],
+                             ids=["negative", "changes-sign"])
+    def test_negative_source_is_refused(self, F):
+        with pytest.raises(ValueError, match="source must be nonnegative"):
+            tor.talenti_1d(0.8, 0.8, F)
+
 
 class TestInPackageRules:
     """The Talenti comparison's PCHIP and cumulative Simpson rule against

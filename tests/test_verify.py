@@ -672,3 +672,22 @@ class TestCounterexampleSearch:
         rep = vf.concavity_check("phi_inv", *fam[0], n_t=34)
         assert rep.verdict == "violation"
         assert rep.max_second_diff == pytest.approx(w["second_diff"], rel=0.75)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,match", [
+        (lambda: vf.MultiPoly.coord(2, 2), "out of range"),
+        (lambda: vf.brascamp_lieb_check(bd.ball(1.0, 2), vf.MultiPoly.abs_sq(3)),
+         "dimension mismatch"),
+        (lambda: vf.propgauss_check(bd.ball(1.0, 2), vf.MultiPoly.abs_sq(3)),
+         "dimension mismatch"),
+        (lambda: vf.brascamp_lieb_check(bd.translate(bd.ball(1.0, 2), [0.1, 0.0]),
+                                        vf.MultiPoly.abs_sq(2), "gaussian_even_half"),
+         "symmetric K"),
+        (lambda: vf.alpha_halfspace(1.0), "0 < a < 1"),
+        (lambda: vf.counterexample_search("phi_inv", []), "empty family"),
+    ], ids=["coord", "brascamp-lieb-dim", "propgauss-dim", "even-half-translate",
+            "alpha-halfspace-a=1", "empty-family"])
+    def test_refused_request_is_verification_error(self, call, match):
+        with pytest.raises(vf.VerificationError, match=match):
+            call()
