@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -455,27 +456,35 @@ def catalog(name: str, n: int, **params) -> SupportBody:
 
 def direction_grid(n: int, size: int | None = None) -> np.ndarray:
     """Unit directions covering S^{n-1}: the two points (n=1), uniform
-    midpoint angles (n=2), Fibonacci sphere (n=3), seeded Monte Carlo (n=4)."""
+    midpoint angles (n=2), Fibonacci sphere (n=3), seeded Monte Carlo (n=4).
+    Built once per (n, size) and read-only."""
     if not 1 <= n <= 4:
         raise BodyError("direction grids implemented for 1 <= n <= 4")
     size = GRID_SIZES[n] if size is None else int(size)
     if size < 1:
         raise BodyError(f"a direction grid needs at least 1 point, got {size}")
+    return _direction_grid(n, size)
+
+
+@lru_cache(maxsize=32)
+def _direction_grid(n: int, size: int) -> np.ndarray:
     if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
+        grid = np.array([[1.0], [-1.0]])
+    elif n == 2:
         ang = (np.arange(size) + 0.5) * (2.0 * np.pi / size)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if n == 3:
+        grid = np.column_stack([np.cos(ang), np.sin(ang)])
+    elif n == 3:
         i = np.arange(size) + 0.5
         z = 1.0 - 2.0 * i / size
         r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         az = np.pi * (3.0 - np.sqrt(5.0)) * i
-        return np.column_stack([r * np.cos(az), r * np.sin(az), z])
-    if n == 4:
+        grid = np.column_stack([r * np.cos(az), r * np.sin(az), z])
+    else:
         rng = np.random.Generator(np.random.Philox(_MC_GRID_SEED))
         x = rng.standard_normal((size, 4))
-        return x / _row_norms(x)[:, None]
+        grid = x / _row_norms(x)[:, None]
+    grid.setflags(write=False)
+    return grid
 
 
 def sphere_area(n: int) -> float:
@@ -542,9 +551,9 @@ def _grid_support(body: SupportBody):
 def radial(body: SupportBody, theta):
     """Radial function rho(theta); exact oracle when present, else
     inf_u h(u)/<theta,u>.  Per chunk of directions, the generic path takes
-    the quotients over the direction grid, refines every direction's 5 best
-    grid seeds in one batched search (``_refine``), and keeps the smallest
-    value."""
+    the quotients over the direction grid, picks every direction's 5 best
+    grid seeds by partial selection, refines them in one batched search
+    (``_refine``), and keeps the smallest value."""
     t, single = _rows(theta, body.n)
     if body.exact_radial is not None:
         vals = np.asarray(body.exact_radial(t), dtype=float)
@@ -556,12 +565,12 @@ def radial(body: SupportBody, theta):
         for lo in range(0, len(t), step):
             th = t[lo : lo + step]
             q = _quotients(hvals, grid, th[:, None, :])
-            seeds = np.argsort(q, axis=1)[:, :k]
+            seeds = np.argpartition(q, k - 1, axis=1)[:, :k]
             th_k = np.repeat(th, k, axis=0)
             ref = _refine(lambda u: _quotients(body.support(u), u, th_k),
                           grid[seeds.ravel()], delta)
-            vals[lo : lo + step] = np.minimum(q[np.arange(len(th)), seeds[:, 0]],
-                                              ref.reshape(-1, k).min(axis=1))
+            best = np.take_along_axis(q, seeds, axis=1).min(axis=1)
+            vals[lo : lo + step] = np.minimum(best, ref.reshape(-1, k).min(axis=1))
     return float(vals[0]) if single else vals
 
 

@@ -353,8 +353,7 @@ def _check_saint_venant(cfg: RunConfig):
     K = bd.parse_body(cfg.body, cfg.n)
     rc = bd.round_cylinder(K)
     if rc is None:
-        raise vf.VerificationError(
-            "exact torsion needs a strip/ball/cylinder body")
+        raise bd.BodyError("exact torsion needs a strip/ball/cylinder body")
     lhs = tor.torsion_one(K)
     a = float(cyl.measure_of_radius(*rc))
     rhs = tor.torsion_halfspace(a)

@@ -224,17 +224,27 @@ class RayColumns:
 # spherical rules
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereRule:
     """``size`` points of weight ``weight`` = area(S^{n-1}) / size, then its
     nested half rule's points of weight ``half_weight`` (None, and no half
-    rule, for the n=4 Monte Carlo rule): one radial call samples both."""
+    rule, for the n=4 Monte Carlo rule): one radial call samples both.
+
+    A rule is equal only to itself and hashes by identity, so caches can key
+    on it; geometry that depends only on its points is kept on it."""
 
     n: int
     size: int
     points: np.ndarray
     weight: float
     half_weight: float | None
+
+    @cached_property
+    def tangents(self) -> np.ndarray:
+        """``bd.tangent_bases`` of the points, read-only."""
+        out = bd.tangent_bases(self.points)
+        out.setflags(write=False)
+        return out
 
 
 @lru_cache(maxsize=32)

@@ -28,6 +28,7 @@ rearrangement of sampled monotone pieces, ``_rearrange``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,7 +155,7 @@ def rayleigh(K: bd.SupportBody, F: gm.RayPolynomial, gauge_poly,
     b = np.convolve(dP, dP) if len(dP) else np.zeros(1)
 
     s = gm.polar_sample(K, rule)
-    q, grad_tan2 = _gauge_slope_sq(K, s.rule.points, s.rho, _FD_STEP)
+    q, grad_tan2 = _gauge_slope_sq(K, s.rule, s.rho)
     grad = {m: b[m] * q**m * (q**2 + grad_tan2) for m in range(len(b))}
     _, (fv, grad2) = s.means(F * v, grad)
     if grad2.value <= 0:
@@ -171,21 +172,30 @@ def _inverse_radial(rho: np.ndarray) -> np.ndarray:
         return np.where(np.isinf(rho), 0.0, 1.0 / rho)
 
 
-def _gauge_slope_sq(K: bd.SupportBody, pts: np.ndarray, rho: np.ndarray, h: float):
-    """(q, |grad_S q|^2) at unit directions pts with radii rho, q = 1/rho."""
+@lru_cache(maxsize=gm.sphere_rule.cache_parameters()["maxsize"])
+def _tangent_steps(rule: gm.SphereRule) -> tuple:
+    """(plus, minus) per tangent axis of the rule's points: the unit
+    directions one ``_FD_STEP`` either way along the axis, read-only."""
+    steps = []
+    for axis in range(rule.n - 1):
+        pair = (rule.points + _FD_STEP * rule.tangents[:, axis],
+                rule.points - _FD_STEP * rule.tangents[:, axis])
+        for d in pair:
+            d /= bd._row_norms(d)[:, None]
+            d.setflags(write=False)
+        steps.append(pair)
+    return tuple(steps)
+
+
+def _gauge_slope_sq(K: bd.SupportBody, rule: gm.SphereRule, rho: np.ndarray):
+    """(q, |grad_S q|^2) on the points of ``rule`` with radii rho, q = 1/rho,
+    from symmetric differences along the rule's tangent steps."""
     q = _inverse_radial(rho)
-    if K.n == 1:
-        return q, np.zeros_like(q)
-    tangents = bd.tangent_bases(pts)
-    grad2 = np.zeros(len(pts))
-    for axis in range(K.n - 1):
-        plus = pts + h * tangents[:, axis]
-        minus = pts - h * tangents[:, axis]
-        plus /= bd._row_norms(plus)[:, None]
-        minus /= bd._row_norms(minus)[:, None]
+    grad2 = np.zeros(len(q))
+    for plus, minus in _tangent_steps(rule):
         qp = _inverse_radial(np.asarray(bd.radial(K, plus), dtype=float))
         qm = _inverse_radial(np.asarray(bd.radial(K, minus), dtype=float))
-        grad2 += ((qp - qm) / (2.0 * h)) ** 2
+        grad2 += ((qp - qm) / (2.0 * _FD_STEP)) ** 2
     return q, grad2
 
 

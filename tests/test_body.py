@@ -583,6 +583,17 @@ class TestRowNorms:
                 assert np.array_equal(got, np.linalg.norm(view, axis=1)), view.shape
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_direction_grid_built_once_and_read_only(n):
+    for size in (None, 255):
+        grid = bd.direction_grid(n, size)
+        assert bd.direction_grid(n, size) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+    assert bd.direction_grid(n, bd.GRID_SIZES[n]) is bd.direction_grid(n)
+
+
 class TestTangentBases:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orthonormal_tangent_and_equal_to_rowwise(self, n):

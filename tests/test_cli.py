@@ -323,6 +323,18 @@ class TestVerifyCommand:
         for key in ("lhs", "rhs"):
             assert reps[0][key] == pytest.approx(reps[1][key], rel=1e-12)
 
+    @pytest.mark.parametrize("n,body", [(2, "box:a=0.7+1.0"), (3, "ellipsoid:c=0.8+1.0+1.3"),
+                                        (2, "translate:v=0+0;ball:R=1")])
+    def test_saint_venant_without_exact_torsion_is_a_usage_error(self, n, body, capsys,
+                                                                 tmp_path):
+        # only catalog round cylinders have an exact torsion; any other
+        # body is an unsupported input, not a numerical failure
+        code, out, err = run(["verify", "--check", "saint-venant", "--n", str(n),
+                              "--body", body, "--out-dir", str(tmp_path)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error:") and "strip/ball/cylinder" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_conjecture_check_passes(self, capsys, tmp_path):
         code, out, _ = run(["verify", "--check", "conjecture", "--n", "2",
                             "--body", "ball:R=0.5", "--body2", "ball:R=2",
@@ -503,9 +515,10 @@ def test_every_check_reports_under_its_own_name(check, body, capsys, tmp_path):
                           "--rule-size", "256", "--t-points", "9",
                           "--out-dir", str(tmp_path)], capsys)
     if check == "saint-venant" and body.startswith("box"):
-        # exact torsion exists only for strips, balls and cylinders
-        assert code == cli.EXIT_NUMERICAL
-        assert "numerical failure" in err and out == ""
+        # exact torsion exists only for strips, balls and cylinders: an
+        # unsupported body is a usage error
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error:") and out == ""
         return
     rep = json.loads(out)
     assert code == cli.VERDICT_EXIT[rep["verdict"]]

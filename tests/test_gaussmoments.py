@@ -285,6 +285,22 @@ class TestPolarSample:
         assert counts == RADIAL_CALLS[n]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tangent_frames_built_once_per_rule(self, n, monkeypatch):
+        # a copy of a cached rule is a new rule: it equals and hashes only
+        # as itself, and its first Rayleigh quotient builds its frames
+        calls = counting(monkeypatch, bd, "tangent_bases")
+        base = gm.sphere_rule(n, 256)
+        rule = dataclasses.replace(base)
+        assert rule != base and len({rule, base, rule}) == 2
+        F = gm.RayPolynomial.constant(1.0)
+        for K in (bd.box([0.8 + 0.1 * i for i in range(n)], n),
+                  bd.ellipsoid([0.7 + 0.2 * i for i in range(n)], n)):
+            tor.rayleigh(K, F, [1.0, 0.0, -1.0], rule)
+        assert len(calls) == 1 and calls[0][0] is rule.points
+        assert np.array_equal(rule.tangents, base.tangents)
+        assert not rule.tangents.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rule_carries_its_half_rule(self, n):
         # the rule's points, then its half rule's: the grid of half the
         # size, re-sampled (n = 2's points[::2] would be a shifted midpoint

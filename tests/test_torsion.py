@@ -165,6 +165,34 @@ class TestRayleigh:
         with pytest.raises(ValueError):
             tor.rayleigh(K, gm.RayPolynomial.constant(1.0), [1.0, 0.0, -0.5])
 
+    @staticmethod
+    def per_call_gauge_slope_sq(K, pts, rho, h):
+        """The tangential differences with the tangent steps built from the
+        points on every call: the reference for the steps a rule keeps."""
+        q = tor._inverse_radial(rho)
+        tangents = bd.tangent_bases(pts)
+        grad2 = np.zeros(len(pts))
+        for axis in range(K.n - 1):
+            plus = pts + h * tangents[:, axis]
+            minus = pts - h * tangents[:, axis]
+            plus /= np.linalg.norm(plus, axis=1)[:, None]
+            minus /= np.linalg.norm(minus, axis=1)[:, None]
+            qp = tor._inverse_radial(np.asarray(bd.radial(K, plus), dtype=float))
+            qm = tor._inverse_radial(np.asarray(bd.radial(K, minus), dtype=float))
+            grad2 += ((qp - qm) / (2.0 * h)) ** 2
+        return q, grad2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rule_tangent_steps_equal_the_per_call_loop(self, n, monkeypatch):
+        bodies = [bd.box([0.6 + 0.2 * i for i in range(n)], n),
+                  bd.ellipsoid([0.7 + 0.3 * i for i in range(n)], n),
+                  bd.lp_ball(1.2, 1.5, n), bd.lp_ball(0.9, 3.0, n)]
+        F = gm.RayPolynomial.constant(1.0)
+        got = [tor.rayleigh(K, F, [1.0, 0.0, -1.0]) for K in bodies]
+        monkeypatch.setattr(tor, "_gauge_slope_sq", lambda K, rule, rho: (
+            self.per_call_gauge_slope_sq(K, rule.points, rho, tor._FD_STEP)))
+        assert got == [tor.rayleigh(K, F, [1.0, 0.0, -1.0]) for K in bodies]
+
 
 class TestRearrangement:
     def test_rearranged_function_is_nonincreasing(self):
